@@ -16,8 +16,9 @@ from .geometry import (CausticData, GeometricCoeffs, PotentialCurves,
 from .ninej import (NinejResidual, RecurrenceCoeffs9j, ReductionReport,
                     ninej_coeffs, ninej_exact, ninej_oracle, ninej_residual,
                     random_stencils, reduction_check)
-from .recursion import (Screen, TridiagCoeffs, residual_threeterm,
-                        row_by_threeterm, screen_by_2d, screen_by_eigensolve,
+from .recursion import (SCREEN_METHODS, Screen, TridiagCoeffs,
+                        residual_threeterm, row_by_threeterm, screen_by_2d,
+                        screen_by_eigensolve, screen_by_threeterm,
                         tridiag_coeffs)
 from .semiclassics import (BohrSommerfeld, DihedralAngles, PRComparison,
                            bohr_sommerfeld, dihedral_angles, local_momentum,

@@ -12,12 +12,10 @@ import time
 
 from . import __version__, exports, geometry, recursion, semiclassics, verify
 from .errors import EmptyScreen, SpinScreenError
-from .exact import screen_oracle
 from .spins import ScreenParams
 
 _OUTPUTS = ("screen", "caustics", "ridges", "potentials", "cos-theta3",
             "pr-compare")
-_METHODS = ("oracle", "eigensolve", "threeterm", "recur2d")
 
 # practical single-sum cost bound: the exact oracle is quadratic in the side
 _ORACLE_KAPPA2_CAP = 400
@@ -33,23 +31,8 @@ def _params_from(args):
     return ScreenParams(args.two_a, args.two_b, args.two_c, args.two_d)
 
 
-def _screen_by_threeterm(params):
-    import numpy as np
-    values = np.column_stack([
-        recursion.row_by_threeterm(int(ty), params)
-        for ty in params.y_lattice()])
-    screen = recursion.Screen(params=params, values=values,
-                              method="threeterm", diagnostics={})
-    screen.diagnostics["orthonormality_defect"] = screen.orthonormality_defect()
-    return screen
-
-
-_SCREEN_BUILDERS = {
-    "oracle": screen_oracle,
-    "eigensolve": recursion.screen_by_eigensolve,
-    "threeterm": _screen_by_threeterm,
-    "recur2d": recursion.screen_by_2d,
-}
+# the method registry under the name perfbench's tracer test reads
+_SCREEN_BUILDERS = recursion.SCREEN_METHODS
 
 
 def cmd_compute(args):
@@ -77,7 +60,7 @@ def cmd_compute(args):
     t0 = time.perf_counter()
     screen = None
     if "screen" in outputs or "pr-compare" in outputs:
-        screen = _SCREEN_BUILDERS[args.method](params)
+        screen = recursion.SCREEN_METHODS[args.method](params)
     if "screen" in outputs:
         path = "%s_%s_screen.%s" % (base, args.method, args.format)
         if args.format == "csv":
@@ -107,12 +90,7 @@ def cmd_compute(args):
         if args.format == "csv":
             exports.write_field_csv(params, grid, "cos_theta3", path)
         else:
-            with open(path, "w") as fh:
-                json.dump({"metadata": exports._meta(params),
-                           "cos_theta3": [[exports._fmt(v) for v in row]
-                                          for row in grid.T]},
-                          fh, indent=1, sort_keys=True)
-                fh.write("\n")
+            exports.write_field_json(params, grid, "cos_theta3", path)
         written.append(path)
     if "pr-compare" in outputs:
         comparison = semiclassics.pr_compare(params, reference=screen)
@@ -191,14 +169,13 @@ def build_parser():
 
     p_compute = sub.add_parser("compute", help="generate screen/curve files")
     _add_params(p_compute)
-    p_compute.add_argument("--method", choices=_METHODS, default="eigensolve")
+    p_compute.add_argument("--method", choices=tuple(recursion.SCREEN_METHODS),
+                           default="eigensolve")
     p_compute.add_argument("--output", default="screen",
                            help="comma list of: %s" % ", ".join(_OUTPUTS))
     p_compute.add_argument("--format", choices=("csv", "json"), default="csv")
     p_compute.add_argument("--outdir", default=None,
                            help="output directory (default $SPINSCREEN_OUTDIR or .)")
-    p_compute.add_argument("--threads", type=int, default=0,
-                           help="cap for internal parallel sections")
     p_compute.set_defaults(func=cmd_compute)
 
     p_verify = sub.add_parser("verify", help="run named invariant checks")

@@ -26,7 +26,7 @@ class ConvergenceFailure(SpinScreenError):
 
 
 class MatchFailure(SpinScreenError):
-    """Forward and backward recursion branches could not be matched."""
+    """A recursion produced a null row that cannot be normalized."""
 
 
 class SeedMismatch(SpinScreenError):

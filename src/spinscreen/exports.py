@@ -144,6 +144,15 @@ def write_field_csv(params: ScreenParams, grid, column, path, extra_meta=None):
                 fh.write("%d,%d,%s\n" % (tx, ty, _fmt(grid[ix, iy])))
 
 
+def write_field_json(params: ScreenParams, grid, column, path):
+    """A lattice-indexed scalar field as {column: [iy][ix]}, y-major."""
+    payload = {"metadata": _meta(params),
+               column: [[_fmt(v) for v in row] for row in grid.T]}
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 def write_pr_compare_csv(comparison, path):
     """Pointwise semiclassical comparison table."""
     params = comparison.params

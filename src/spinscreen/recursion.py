@@ -1,5 +1,6 @@
-"""Fast screen generation: tridiagonal eigenproblem, three-term rows, and the
-two-dimensional five-term cross recursion."""
+"""Fast screen generation: tridiagonal eigenproblem, three-term rows by
+inverse iteration at the closed-form lambda(y), and the two-dimensional
+five-term cross recursion; SCREEN_METHODS names every screen builder."""
 
 import decimal
 import math
@@ -11,11 +12,15 @@ import numpy as np
 import scipy.linalg
 
 from . import exact
-from .errors import ConvergenceFailure, MatchFailure, SeedMismatch
+from .errors import ConvergenceFailure, MatchFailure, SeedMismatch, ZeroPivot
 from .screen import Screen
 from .spins import ScreenParams
 
 _RESCALE = 1e250
+# inverse iteration: banded solves per row, start-vector seed, relative shift
+_SOLVES = 3
+_START_SEED = 0
+_SHIFT_NUDGE = 1e-13
 
 
 @dataclass
@@ -81,6 +86,17 @@ def _backward_reference(coeffs: TridiagCoeffs, lam_y, stop_index):
     return r
 
 
+def _anchor_sign(coeffs: TridiagCoeffs, lam_y, vec):
+    """+1 or -1: the factor that gives vec the stretched-boundary sign.
+
+    The sign is compared at vec's largest entry, where the backward reference
+    from x_max is reliable.
+    """
+    istar = int(np.argmax(np.abs(vec)))
+    ref = _backward_reference(coeffs, lam_y, istar)
+    return -1.0 if vec[istar] * ref[istar] < 0 else 1.0
+
+
 def screen_by_eigensolve(params: ScreenParams):
     """Screen from diagonalizing the symmetric tridiagonal matrix.
 
@@ -101,9 +117,7 @@ def screen_by_eigensolve(params: ScreenParams):
             raise ConvergenceFailure(str(err)) from err
         values = vecs
         for iy in range(n):
-            istar = int(np.argmax(np.abs(values[:, iy])))
-            ref = _backward_reference(coeffs, evals[iy], istar)
-            if values[istar, iy] * ref[istar] < 0:
+            if _anchor_sign(coeffs, evals[iy], values[:, iy]) < 0:
                 values[:, iy] = -values[:, iy]
     spectrum_err = float(np.max(np.abs(evals - coeffs.lam)
                                 / np.maximum(np.abs(coeffs.lam), 1.0)))
@@ -129,39 +143,46 @@ def residual_threeterm(screen: Screen, coeffs: TridiagCoeffs = None):
 
 
 def row_by_threeterm(two_y, params: ScreenParams, coeffs: TridiagCoeffs = None):
-    """One row of U by three-term recursion seeded at both range ends.
+    """One row of U by inverse iteration at the closed-form lambda(y).
 
-    Forward from x_min and backward from x_max (both are the numerically
-    stable growth directions), matched near the row maximum, normalized to
-    unit sum of squares.  Signs follow the same stretched-boundary anchor as
-    the eigensolver.
+    The tridiagonal matrix shifted by lambda(y) is solved _SOLVES times from a
+    fixed seeded start vector (LAPACK banded solves, O(n) each).  The shift is
+    nudged off lambda(y) by _SHIFT_NUDGE times the spectral scale: integer
+    coefficients otherwise make the shifted matrix exactly singular.  The
+    result has unit sum of squares and the eigensolver's stretched-boundary
+    sign.
     """
     if coeffs is None:
         coeffs = tridiag_coeffs(params)
-    iy = params.y_index(two_y)
-    lam_y = coeffs.lam[iy]
-    w, pp = coeffs.w, coeffs.p_plus
-    n = len(w)
-    sig = _stretched_sign(params)
+    lam_y = coeffs.lam[params.y_index(two_y)]
+    n = len(coeffs.w)
     if n == 1:
-        return np.array([float(sig)])
-    fwd = np.zeros(n)
-    fwd[0] = 1.0
-    fwd[1] = (lam_y - w[0]) * fwd[0] / pp[0]
-    for k in range(1, n - 1):
-        fwd[k + 1] = ((lam_y - w[k]) * fwd[k] - pp[k - 1] * fwd[k - 1]) / pp[k]
-        if abs(fwd[k + 1]) > _RESCALE:
-            fwd[:k + 2] /= _RESCALE
-    bwd = _backward_reference(coeffs, lam_y, 0)
-    istar = (int(np.argmax(np.abs(fwd))) + int(np.argmax(np.abs(bwd)))) // 2
-    if fwd[istar] == 0.0 or abs(fwd[istar]) < 1e-280 * np.max(np.abs(fwd)):
-        raise MatchFailure(
-            "branches numerically orthogonal at match index %d" % istar)
-    row = np.concatenate((fwd[:istar] * (bwd[istar] / fwd[istar]), bwd[istar:]))
-    norm = np.linalg.norm(row)
-    if not np.isfinite(norm) or norm == 0.0:
-        raise MatchFailure("row normalization failed for two_y=%d" % two_y)
-    return row / norm
+        return np.array([float(_stretched_sign(params))])
+    shift = lam_y + _SHIFT_NUDGE * max(1.0, float(np.max(np.abs(coeffs.lam))))
+    band = np.zeros((3, n))
+    band[0, 1:] = coeffs.p_plus[:-1]
+    band[1] = coeffs.w - shift
+    band[2, :-1] = coeffs.p_plus[:-1]
+    row = np.random.default_rng(_START_SEED).standard_normal(n)
+    try:
+        for _ in range(_SOLVES):
+            row = scipy.linalg.solve_banded((1, 1), band, row)
+            row /= np.linalg.norm(row)
+    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as err:
+        raise ConvergenceFailure("two_y=%d: %s" % (two_y, err)) from err
+    return row * _anchor_sign(coeffs, lam_y, row)
+
+
+def screen_by_threeterm(params: ScreenParams):
+    """Screen assembled from row_by_threeterm, one row per y."""
+    coeffs = tridiag_coeffs(params)
+    values = np.column_stack([row_by_threeterm(int(ty), params, coeffs)
+                              for ty in params.y_lattice()])
+    screen = Screen(params=params, values=values, method="threeterm",
+                    diagnostics={})
+    screen.diagnostics["residual_max"] = float(residual_threeterm(screen, coeffs))
+    screen.diagnostics["orthonormality_defect"] = screen.orthonormality_defect()
+    return screen
 
 
 def _unit_pair_exact(tp, tq, tr, ts, t, dt):
@@ -216,78 +237,12 @@ def _decimal_digits(params: ScreenParams):
 
 
 def _dec_coeff(pair):
-    """Decimal value of an exact (prefactor, radicand) coefficient pair."""
+    """Decimal value of an exact (prefactor, radicand) pair, pref*sqrt(rad)."""
     pref, rad = pair
     if pref == 0 or rad == 0:
         return Decimal(0)
     root = (Decimal(rad.numerator) / Decimal(rad.denominator)).sqrt()
     return Decimal(pref.numerator) / Decimal(pref.denominator) * root
-
-
-def _threeterm_decimal(params, coeffs, iy, ctx):
-    """Two-sided three-term row evaluated in Decimal precision."""
-    ta, tb, tc, td = params.as_tuple()
-    xs = [int(t) for t in params.x_lattice()]
-    n = len(xs)
-    lam = _lam_fraction(tb, tc, int(params.y_lattice()[iy]))
-    lam_d = ctx.divide(Decimal(lam.numerator), Decimal(lam.denominator))
-    w_d = []
-    pp_d = []
-    for tx in xs:
-        wf = _w_fraction(ta, tb, tc, td, tx)
-        w_d.append(ctx.divide(Decimal(wf.numerator), Decimal(wf.denominator)))
-        p2 = _p_plus_sq_fraction(ta, tb, tc, td, tx)
-        if p2 <= 0:
-            pp_d.append(Decimal(0))
-        else:
-            pp_d.append(ctx.sqrt(ctx.divide(Decimal(p2.numerator),
-                                            Decimal(p2.denominator))))
-    sig = Decimal(_stretched_sign(params))
-    if n == 1:
-        return [sig]
-    fwd = [Decimal(0)] * n
-    fwd[0] = Decimal(1)
-    fwd[1] = (lam_d - w_d[0]) * fwd[0] / pp_d[0]
-    for k in range(1, n - 1):
-        fwd[k + 1] = ((lam_d - w_d[k]) * fwd[k] - pp_d[k - 1] * fwd[k - 1]) / pp_d[k]
-    bwd = [Decimal(0)] * n
-    bwd[n - 1] = sig
-    bwd[n - 2] = (lam_d - w_d[n - 1]) * bwd[n - 1] / pp_d[n - 2]
-    for k in range(n - 2, 0, -1):
-        bwd[k - 1] = ((lam_d - w_d[k]) * bwd[k] - pp_d[k] * bwd[k + 1]) / pp_d[k - 1]
-    imax_f = max(range(n), key=lambda i: abs(fwd[i]))
-    imax_b = max(range(n), key=lambda i: abs(bwd[i]))
-    istar = (imax_f + imax_b) // 2
-    if fwd[istar] == 0:
-        raise MatchFailure("branches do not overlap at index %d" % istar)
-    scale = bwd[istar] / fwd[istar]
-    row = [fwd[k] * scale for k in range(istar)] + bwd[istar:]
-    norm = ctx.sqrt(sum(v * v for v in row))
-    return [v / norm for v in row]
-
-
-def _p_plus_sq_fraction(ta, tb, tc, td, tx):
-    """Exact square of the off-diagonal coefficient, two-j arguments."""
-    f_ab = Fraction((ta + tb + tx + 4) * (ta + tb - tx) * (ta - tb + tx + 2)
-                    * (-ta + tb + tx + 2), 16)
-    f_cd = Fraction((td + tc + tx + 4) * (td + tc - tx) * (td - tc + tx + 2)
-                    * (-td + tc + tx + 2), 16)
-    if f_ab <= 0 or f_cd <= 0:
-        return Fraction(0)
-    return f_ab * f_cd / (Fraction(tx + 2, 2) ** 2 * (tx + 1) * (tx + 3))
-
-
-def _w_fraction(ta, tb, tc, td, tx):
-    """Exact diagonal coefficient; the x=0 limit (a=b, c=d) is -x(x+1)."""
-    xx = Fraction(tx * (tx + 2), 4)
-    if tx == 0:
-        return Fraction(0)
-    return ((Fraction(tb * (tb + 2) - ta * (ta + 2), 4) + xx)
-            * (Fraction(td * (td + 2) - tc * (tc + 2), 4) - xx) / xx)
-
-
-def _lam_fraction(tb, tc, ty):
-    return Fraction(ty * (ty + 2) - tb * (tb + 2) - tc * (tc + 2), 2)
 
 
 def screen_by_2d(params: ScreenParams, seed=None):
@@ -296,27 +251,29 @@ def screen_by_2d(params: ScreenParams, seed=None):
     The stencil links three x-neighbors at row y to three y-neighbors at
     column x; rows y_min and y_min+1 determine the rest.  The pointwise
     sweep amplifies round-off exponentially across forbidden regions, so
-    the propagation (and its default three-term seed rows) runs in Decimal
-    arithmetic with side-proportional guard digits; coefficients enter as
-    exact rationals and square roots.  The (-1)^(2x), (-1)^(2y) phases are
-    lattice constants and are applied exactly.
+    the propagation runs in Decimal arithmetic with side-proportional guard
+    digits.  The default seed rows are the exact oracle values and the
+    coefficients enter as exact rationals and square roots, both rounded
+    only to the working precision.  The (-1)^(2x), (-1)^(2y) phases are
+    lattice constants and are applied exactly.  A vanishing pivot (the
+    coefficient of the row being solved for) raises ZeroPivot.
 
     seed: optional pair of float rows (y_min, y_min+1); float seeds limit
     the attainable accuracy to float propagation error.
     """
     n = params.side
-    diagnostics = {"seed_method": "threeterm-decimal",
-                   "zero_pivot_points": 0,
+    diagnostics = {"seed_method": "exact",
                    "precision_digits": _decimal_digits(params)}
     ctx = decimal.Context(prec=diagnostics["precision_digits"],
                           Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
     with decimal.localcontext(ctx):
-        coeffs = tridiag_coeffs(params)
         work = [[Decimal(0)] * n for _ in range(n)]  # work[iy][ix]
         if seed is None:
-            work[0] = _threeterm_decimal(params, coeffs, 0, ctx)
-            if n > 1:
-                work[1] = _threeterm_decimal(params, coeffs, 1, ctx)
+            for j in range(min(n, 2)):
+                two_y = params.two_y_min + 2 * j
+                exact_row = (exact.u_exact(int(tx), two_y, params)
+                             for tx in params.x_lattice())
+                work[j] = [_dec_coeff((v.q, v.p)) for v in exact_row]
         else:
             diagnostics["seed_method"] = "caller"
             work[0] = [Decimal(v) for v in np.asarray(seed[0], dtype=float)]
@@ -340,10 +297,8 @@ def screen_by_2d(params: ScreenParams, seed=None):
                 prev = work[j - 1]
                 pivot = cy[2][j]
                 if pivot == 0:
-                    work[j + 1] = [Decimal(repr(v))
-                                   for v in _oracle_row(params, j + 1)]
-                    diagnostics["zero_pivot_points"] += n
-                    continue
+                    raise ZeroPivot("cross recursion pivot vanishes at two_y=%d"
+                                    % (params.two_y_min + 2 * j))
                 nxt = work[j + 1]
                 cym, cy0 = cy[0][j], cy[1][j]
                 cxm, cx0, cxp = cx
@@ -369,12 +324,6 @@ def screen_by_2d(params: ScreenParams, seed=None):
                   diagnostics=diagnostics)
 
 
-def _oracle_row(params: ScreenParams, iy):
-    two_y = int(params.y_lattice()[iy])
-    return np.array([exact.u_exact(int(tx), two_y, params).to_real()
-                     for tx in params.x_lattice()])
-
-
 def _cross_residual_max(params: ScreenParams, values):
     """Largest five-term stencil residual over propagated rows (float)."""
     n = params.side
@@ -391,3 +340,12 @@ def _cross_residual_max(params: ScreenParams, values):
         rhs = cy[0, j] * values[:, j - 1] + cy[1, j] * u + cy[2, j] * values[:, j + 1]
         worst = max(worst, float(np.max(np.abs(phase * lhs - rhs))))
     return worst
+
+
+# every screen builder by method name, shared by the CLI, verify and the tests
+SCREEN_METHODS = {
+    "oracle": exact.screen_oracle,
+    "eigensolve": screen_by_eigensolve,
+    "threeterm": screen_by_threeterm,
+    "recur2d": screen_by_2d,
+}

@@ -75,14 +75,10 @@ def check_cross_methods(params, rng, n_random):
 
 def check_threeterm(params, rng, n_random):
     eig = recursion.screen_by_eigensolve(params)
-    ys = params.y_lattice()
-    picks = sorted({int(ys[0]), int(ys[len(ys) // 2]), int(ys[-1])})
-    worst = 0.0
-    for ty in picks:
-        row = recursion.row_by_threeterm(ty, params)
-        worst = max(worst, float(np.max(np.abs(row - eig.values[:, params.y_index(ty)]))))
-    return [_result("threeterm-rows", worst, 1e-8,
-                    "sampled rows vs eigensolver")]
+    rows = recursion.screen_by_threeterm(params)
+    return [_result("threeterm-rows",
+                    np.max(np.abs(rows.values - eig.values)), 1e-8,
+                    "all %d rows vs eigensolver" % params.side)]
 
 
 def check_exact_symmetries(params, rng, n_random):

@@ -39,15 +39,16 @@ def test_compute_screen_csv(tmp_path):
 
 
 def test_compute_method_agreement(tmp_path):
-    paths = {}
-    for method in ("oracle", "recur2d"):
+    screens = {}
+    for method in ss.SCREEN_METHODS:
         cp = run_cli("compute", *SMALL, "--method", method,
                      "--output", "screen", "--outdir", str(tmp_path))
         assert cp.returncode == 0, cp.stderr
-        paths[method] = next(tmp_path.glob("*_%s_screen.csv" % method))
-    a = exports.read_screen(paths["oracle"])
-    b = exports.read_screen(paths["recur2d"])
-    assert np.max(np.abs(a.values - b.values)) <= 1e-8
+        path = next(tmp_path.glob("*_%s_screen.csv" % method))
+        screens[method] = exports.read_screen(path)
+    for method, screen in screens.items():
+        assert screen.method == method
+        assert np.max(np.abs(screen.values - screens["oracle"].values)) <= 1e-8
 
 
 def test_compute_curves(tmp_path):
@@ -70,10 +71,15 @@ def test_compute_cos_theta3_json(tmp_path):
     cp = run_cli("compute", *SMALL, "--output", "cos-theta3",
                  "--format", "json", "--outdir", str(tmp_path))
     assert cp.returncode == 0, cp.stderr
-    payload = json.loads(next(tmp_path.glob("*_cos_theta3.json")).read_text())
+    written = next(tmp_path.glob("*_cos_theta3.json"))
+    payload = json.loads(written.read_text())
     assert "cos_theta3" in payload
-    side = ss.screen_ranges(6, 8, 10, 8).side
-    assert len(payload["cos_theta3"]) == side
+    p = ss.screen_ranges(6, 8, 10, 8)
+    assert len(payload["cos_theta3"]) == p.side
+    ref = tmp_path / "reference.json"
+    exports.write_field_json(p, ss.cos_theta3_grid(p, "plain"), "cos_theta3",
+                             ref)
+    assert written.read_bytes() == ref.read_bytes()
 
 
 def test_compute_pr_compare(tmp_path):

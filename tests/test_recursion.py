@@ -1,9 +1,12 @@
+import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import spinscreen as ss
+from spinscreen import recursion
 from spinscreen.recursion import (_stretched_sign, residual_threeterm,
                                   tridiag_coeffs)
 from conftest import random_valid_quadruple
@@ -15,14 +18,23 @@ def test_p_plus_vanishes_at_range_ends(ref_params):
     assert np.all(coeffs.p_plus[:-1] > 0)
 
 
+def _p_plus_sq_numerator(ta, tb, tc, td, tx):
+    """16^2 times the triangle products under p_plus(x)^2, clamped as in
+    tridiag_coeffs; two-j integers, so zero is exact."""
+    f_ab = ((ta + tb + tx + 4) * (ta + tb - tx) * (ta - tb + tx + 2)
+            * (-ta + tb + tx + 2))
+    f_cd = ((td + tc + tx + 4) * (td + tc - tx) * (td - tc + tx + 2)
+            * (-td + tc + tx + 2))
+    return max(f_ab, 0) * max(f_cd, 0)
+
+
 def test_p_minus_vanishes_below_range():
     # p_minus(x_min) = p_plus(x_min - 1) = 0: a triangle factor crosses zero
-    from spinscreen.recursion import _p_plus_sq_fraction
     rng = random.Random(3)
     for _ in range(100):
         p = random_valid_quadruple(rng, two_j_max=20)
-        assert _p_plus_sq_fraction(*p.as_tuple(), p.two_x_min - 2) == 0
-        assert _p_plus_sq_fraction(*p.as_tuple(), p.two_x_max) == 0
+        assert _p_plus_sq_numerator(*p.as_tuple(), p.two_x_min - 2) == 0
+        assert _p_plus_sq_numerator(*p.as_tuple(), p.two_x_max) == 0
 
 
 def test_lambda_values(ref_params):
@@ -128,6 +140,45 @@ def test_threeterm_residual(ref_params):
         assert np.max(np.abs(res)) <= 1e-9 * np.max(np.abs(row))
 
 
+# screens where matching forward and backward sweeps at the mean of their
+# argmax indices put the match in a forbidden zone: hundreds of wrong rows
+@pytest.mark.parametrize("quad", [(600, 900, 1200, 1100), (960, 430, 1070, 500),
+                                  (1000, 1000, 1000, 1000)])
+def test_threeterm_all_rows_vs_eigensolve(quad):
+    p = ss.screen_ranges(*quad)
+    rows = ss.screen_by_threeterm(p)
+    eig = ss.screen_by_eigensolve(p)
+    assert np.max(np.abs(rows.values - eig.values)) <= 1e-11
+    assert rows.diagnostics["orthonormality_defect"] < 1e-10
+    assert rows.diagnostics["residual_max"] < 1e-9 * p.side
+
+
+def test_threeterm_all_rows_vs_oracle():
+    # the smallest screen whose matched last row was wrong (1.44 off)
+    p = ss.screen_ranges(96, 43, 107, 50)
+    rows = ss.screen_by_threeterm(p)
+    assert np.max(np.abs(rows.values - ss.screen_oracle(p).values)) <= 1e-11
+
+
+@pytest.mark.slow
+def test_every_method_matches_oracle_on_every_row():
+    quads = [q for q in itertools.product(range(9), repeat=4)
+             if sum(q) % 2 == 0]
+    checked = 0
+    for quad in quads:
+        try:
+            p = ss.screen_ranges(*quad)
+        except ss.EmptyScreen:
+            continue
+        screens = {name: build(p) for name, build in ss.SCREEN_METHODS.items()}
+        ref = screens["oracle"].values
+        for name, screen in screens.items():
+            err = np.max(np.abs(screen.values - ref))
+            assert err <= 1e-11, (name, quad, err)
+        checked += 1
+    assert checked == 2761
+
+
 def test_cross_identity_on_oracle_values(ref_params, ref_oracle):
     from spinscreen.recursion import _cross_residual_max
     res = _cross_residual_max(ref_params, ref_oracle.values)
@@ -137,7 +188,20 @@ def test_cross_identity_on_oracle_values(ref_params, ref_oracle):
 def test_screen_2d_matches_oracle(ref_params, ref_oracle):
     screen = ss.screen_by_2d(ref_params)
     assert np.max(np.abs(screen.values - ref_oracle.values)) < 1e-8
-    assert screen.diagnostics["zero_pivot_points"] == 0
+    assert screen.diagnostics["seed_method"] == "exact"
+
+
+def test_screen_2d_zero_pivot_raises(monkeypatch):
+    exact_coeffs = recursion._cross_coeffs_exact
+
+    def zero_pivot(params):
+        cx, cy = exact_coeffs(params)
+        cy[2][1] = (Fraction(0), Fraction(0))
+        return cx, cy
+
+    monkeypatch.setattr(recursion, "_cross_coeffs_exact", zero_pivot)
+    with pytest.raises(ss.ZeroPivot):
+        ss.screen_by_2d(ss.screen_ranges(8, 10, 12, 10))
 
 
 def test_screen_2d_half_integer_params():
