@@ -4,6 +4,7 @@ five-term cross recursion; SCREEN_METHODS names every screen builder."""
 
 import decimal
 import math
+import time
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -16,7 +17,6 @@ from .errors import ConvergenceFailure, MatchFailure, SeedMismatch, ZeroPivot
 from .screen import Screen
 from .spins import ScreenParams
 
-_RESCALE = 1e250
 # inverse iteration: banded solves per row, start-vector seed, relative shift
 _SOLVES = 3
 _START_SEED = 0
@@ -66,35 +66,56 @@ def _stretched_sign(params: ScreenParams):
     return (-1) ** ((params.two_a + params.two_b + params.two_c + params.two_d) // 2)
 
 
-def _backward_reference(coeffs: TridiagCoeffs, lam_y, stop_index):
-    """Backward two-sided-stable recursion from x_max down to stop_index.
-
-    Seeded with the exact stretched-boundary sign, so its signs match the
-    true U row wherever the magnitudes are representable.
-    """
-    w, pp = coeffs.w, coeffs.p_plus
-    n = len(w)
-    r = np.zeros(n)
-    r[n - 1] = _stretched_sign(coeffs.params)
-    if n == 1 or stop_index >= n - 1:
-        return r
-    r[n - 2] = (lam_y - w[n - 1]) * r[n - 1] / pp[n - 2]
-    for k in range(n - 2, stop_index, -1):
-        r[k - 1] = ((lam_y - w[k]) * r[k] - pp[k] * r[k + 1]) / pp[k - 1]
-        if abs(r[k - 1]) > _RESCALE:
-            r[k - 1:] /= _RESCALE
-    return r
-
-
 def _anchor_sign(coeffs: TridiagCoeffs, lam_y, vec):
     """+1 or -1: the factor that gives vec the stretched-boundary sign.
 
-    The sign is compared at vec's largest entry, where the backward reference
-    from x_max is reliable.
+    The backward recursion from x_max, seeded with the stretched sign s,
+    reads r[k-1] = s det(lam - T[k:, k:]) / prod(p_plus[k-1:n-1]) in closed
+    form, and p_plus > 0 on the interior.  At vec's largest entry i the
+    reference sign is therefore s (-1)^m sign det(T[i+1:, i+1:] - lam) with
+    m = n-1-i, read from one LAPACK tridiagonal LU (dgttrf) as the signs of
+    U's diagonal times (-1)^(row swaps).
     """
     istar = int(np.argmax(np.abs(vec)))
-    ref = _backward_reference(coeffs, lam_y, istar)
-    return -1.0 if vec[istar] * ref[istar] < 0 else 1.0
+    m = len(vec) - 1 - istar
+    parity = m
+    if m > 0:
+        # a decoupled 2x2 identity keeps the determinant and meets the
+        # wrapper's minimum order of 3
+        off = np.concatenate((coeffs.p_plus[istar + 1:-1], (0.0, 0.0)))
+        diag = np.concatenate((coeffs.w[istar + 1:] - lam_y, (1.0, 1.0)))
+        _, u_diag, _, _, ipiv, info = scipy.linalg.lapack.dgttrf(off, diag, off)
+        if info > 0:
+            raise ConvergenceFailure(
+                "trailing block singular at lambda=%r (order %d)" % (lam_y, m))
+        parity += (np.count_nonzero(u_diag < 0)
+                   + np.count_nonzero(ipiv != np.arange(1, m + 3)))
+    sign = _stretched_sign(coeffs.params) * (-1) ** int(parity)
+    return -1.0 if vec[istar] * sign < 0 else 1.0
+
+
+class _Laps:
+    """Wall time per stage: lap(name) ends the stage that began at the
+    previous lap, or at construction."""
+
+    def __init__(self):
+        self.timings = {}
+        self._last = time.perf_counter()
+
+    def lap(self, name):
+        now = time.perf_counter()
+        self.timings[name] = now - self._last
+        self._last = now
+
+
+def _core_diagnostics(screen: Screen, coeffs: TridiagCoeffs, laps: _Laps):
+    """Residual, orthonormality defect and the stage timings of a screen."""
+    screen.diagnostics["residual_max"] = float(residual_threeterm(screen, coeffs))
+    laps.lap("residual")
+    screen.diagnostics["orthonormality_defect"] = screen.orthonormality_defect()
+    laps.lap("defect")
+    screen.diagnostics["timings"] = laps.timings
+    return screen
 
 
 def screen_by_eigensolve(params: ScreenParams):
@@ -102,30 +123,26 @@ def screen_by_eigensolve(params: ScreenParams):
 
     Eigenvalues sorted ascending are assigned to ascending y (lambda is
     monotone); each eigenvector's global sign is anchored to the exact sign
-    of the stretched boundary value U(x_max, y).
+    of the stretched boundary value U(x_max, y).  diagnostics["timings"]
+    holds the wall time of each stage in seconds.
     """
+    laps = _Laps()
     coeffs = tridiag_coeffs(params)
-    n = len(coeffs.w)
-    if n == 1:
-        values = np.array([[float(_stretched_sign(params))]])
-        evals = coeffs.w.copy()
-    else:
-        try:
-            evals, vecs = scipy.linalg.eigh_tridiagonal(
-                coeffs.w, coeffs.p_plus[:-1])
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as err:
-            raise ConvergenceFailure(str(err)) from err
-        values = vecs
-        for iy in range(n):
-            if _anchor_sign(coeffs, evals[iy], values[:, iy]) < 0:
-                values[:, iy] = -values[:, iy]
+    laps.lap("coeffs")
+    try:
+        evals, values = scipy.linalg.eigh_tridiagonal(coeffs.w, coeffs.p_plus[:-1])
+    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as err:
+        raise ConvergenceFailure(str(err)) from err
+    laps.lap("eigh")
+    for iy in range(params.side):
+        if _anchor_sign(coeffs, evals[iy], values[:, iy]) < 0:
+            values[:, iy] = -values[:, iy]
+    laps.lap("anchor")
     spectrum_err = float(np.max(np.abs(evals - coeffs.lam)
                                 / np.maximum(np.abs(coeffs.lam), 1.0)))
     screen = Screen(params=params, values=values, method="eigensolve",
                     diagnostics={"spectrum_rel_error": spectrum_err})
-    screen.diagnostics["residual_max"] = float(residual_threeterm(screen, coeffs))
-    screen.diagnostics["orthonormality_defect"] = screen.orthonormality_defect()
-    return screen
+    return _core_diagnostics(screen, coeffs, laps)
 
 
 def residual_threeterm(screen: Screen, coeffs: TridiagCoeffs = None):
@@ -142,6 +159,26 @@ def residual_threeterm(screen: Screen, coeffs: TridiagCoeffs = None):
     return float(np.max(np.abs(res)))
 
 
+def _inverse_iteration(coeffs: TridiagCoeffs, iy):
+    """Row iy of U up to its sign, by inverse iteration (see row_by_threeterm)."""
+    n = len(coeffs.w)
+    lam_y = coeffs.lam[iy]
+    shift = lam_y + _SHIFT_NUDGE * max(1.0, float(np.max(np.abs(coeffs.lam))))
+    band = np.zeros((3, n))
+    band[0, 1:] = coeffs.p_plus[:-1]
+    band[1] = coeffs.w - shift
+    band[2, :-1] = coeffs.p_plus[:-1]
+    row = np.random.default_rng(_START_SEED).standard_normal(n)
+    try:
+        for _ in range(_SOLVES):
+            row = scipy.linalg.solve_banded((1, 1), band, row)
+            row /= np.linalg.norm(row)
+    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as err:
+        two_y = int(coeffs.params.y_lattice()[iy])
+        raise ConvergenceFailure("two_y=%d: %s" % (two_y, err)) from err
+    return row
+
+
 def row_by_threeterm(two_y, params: ScreenParams, coeffs: TridiagCoeffs = None):
     """One row of U by inverse iteration at the closed-form lambda(y).
 
@@ -154,35 +191,25 @@ def row_by_threeterm(two_y, params: ScreenParams, coeffs: TridiagCoeffs = None):
     """
     if coeffs is None:
         coeffs = tridiag_coeffs(params)
-    lam_y = coeffs.lam[params.y_index(two_y)]
-    n = len(coeffs.w)
-    if n == 1:
-        return np.array([float(_stretched_sign(params))])
-    shift = lam_y + _SHIFT_NUDGE * max(1.0, float(np.max(np.abs(coeffs.lam))))
-    band = np.zeros((3, n))
-    band[0, 1:] = coeffs.p_plus[:-1]
-    band[1] = coeffs.w - shift
-    band[2, :-1] = coeffs.p_plus[:-1]
-    row = np.random.default_rng(_START_SEED).standard_normal(n)
-    try:
-        for _ in range(_SOLVES):
-            row = scipy.linalg.solve_banded((1, 1), band, row)
-            row /= np.linalg.norm(row)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as err:
-        raise ConvergenceFailure("two_y=%d: %s" % (two_y, err)) from err
-    return row * _anchor_sign(coeffs, lam_y, row)
+    iy = params.y_index(two_y)
+    row = _inverse_iteration(coeffs, iy)
+    return row * _anchor_sign(coeffs, coeffs.lam[iy], row)
 
 
 def screen_by_threeterm(params: ScreenParams):
-    """Screen assembled from row_by_threeterm, one row per y."""
+    """Screen of the rows of row_by_threeterm, one per y, with the solves
+    and the sign anchor timed as separate stages."""
+    laps = _Laps()
     coeffs = tridiag_coeffs(params)
-    values = np.column_stack([row_by_threeterm(int(ty), params, coeffs)
-                              for ty in params.y_lattice()])
+    laps.lap("coeffs")
+    rows = [_inverse_iteration(coeffs, iy) for iy in range(params.side)]
+    laps.lap("solve")
+    values = np.column_stack([row * _anchor_sign(coeffs, lam_y, row)
+                              for row, lam_y in zip(rows, coeffs.lam)])
+    laps.lap("anchor")
     screen = Screen(params=params, values=values, method="threeterm",
                     diagnostics={})
-    screen.diagnostics["residual_max"] = float(residual_threeterm(screen, coeffs))
-    screen.diagnostics["orthonormality_defect"] = screen.orthonormality_defect()
-    return screen
+    return _core_diagnostics(screen, coeffs, laps)
 
 
 def _unit_pair_exact(tp, tq, tr, ts, t, dt):

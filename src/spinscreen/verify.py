@@ -55,7 +55,8 @@ def check_spectrum(params, rng, n_random):
 
 def check_orthonormality(params, rng, n_random):
     screen = recursion.screen_by_eigensolve(params)
-    return [_result("orthonormality", screen.orthonormality_defect(), 1e-10,
+    defect = screen.diagnostics["orthonormality_defect"]
+    return [_result("orthonormality", defect, 1e-10,
                     "max |U^T U - I| for the eigensolver screen")]
 
 

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import spinscreen as ss
-from spinscreen import recursion
+from spinscreen import recursion, verify
 from spinscreen.recursion import (_stretched_sign, residual_threeterm,
                                   tridiag_coeffs)
 from conftest import random_valid_quadruple
@@ -109,6 +110,90 @@ def test_stretched_sign_matches_oracle():
                               p.two_c, p.two_d, int(ty)).to_real()
             assert v != 0.0
             assert (v > 0) == (sig > 0)
+
+
+def _backward_reference_sign(coeffs, lam_y, stop):
+    """Sign at stop of the backward recursion from x_max, seeded with the
+    stretched sign and rescaled against overflow: the loop the LU anchor
+    replaces, kept as an independent reference."""
+    w, pp = coeffs.w, coeffs.p_plus
+    n = len(w)
+    r = np.zeros(n)
+    r[n - 1] = _stretched_sign(coeffs.params)
+    if stop < n - 1:
+        r[n - 2] = (lam_y - w[n - 1]) * r[n - 1] / pp[n - 2]
+    for k in range(n - 2, stop, -1):
+        r[k - 1] = ((lam_y - w[k]) * r[k] - pp[k] * r[k + 1]) / pp[k - 1]
+        if abs(r[k - 1]) > 1e250:
+            r[k - 1:] /= 1e250
+    return np.sign(r[stop])
+
+
+def _anchor_screens():
+    for quad in itertools.product(range(9), repeat=4):
+        if sum(quad) % 2 == 0:
+            try:
+                yield ss.screen_ranges(*quad)
+            except ss.EmptyScreen:
+                pass
+    yield ss.screen_ranges(60, 90, 120, 110)
+    yield ss.screen_ranges(600, 900, 1200, 1100)
+
+
+def test_anchor_sign_matches_backward_recursion():
+    # raw eigenvectors with random column signs, so both factors occur
+    rng = np.random.default_rng(4)
+    factors = {-1.0: 0, 1.0: 0}
+    orders = {0: 0, 1: 0, 2: 0}
+    for p in _anchor_screens():
+        coeffs = tridiag_coeffs(p)
+        if p.side == 1:
+            continue
+        evals, vecs = scipy.linalg.eigh_tridiagonal(coeffs.w, coeffs.p_plus[:-1])
+        vecs *= rng.choice((-1.0, 1.0), size=p.side)
+        for iy in range(p.side):
+            vec = vecs[:, iy]
+            istar = int(np.argmax(np.abs(vec)))
+            factor = recursion._anchor_sign(coeffs, evals[iy], vec)
+            ref = _backward_reference_sign(coeffs, evals[iy], istar)
+            assert factor == (-1.0 if vec[istar] * ref < 0 else 1.0), (p, iy)
+            factors[factor] += 1
+            m = p.side - 1 - istar
+            if m in orders and p.side == 601:
+                orders[m] += 1
+    assert min(factors.values()) > 0
+    # trailing blocks of order 0 (no LU), 1 and 2 (padded to 3 and 4)
+    assert orders == {0: 18, 1: 19, 2: 13}
+
+
+def test_anchor_argmax_entries_match_oracle(big_params, big_eig):
+    n = big_params.side
+    for iy in sorted({round(k * (n - 1) / 10) for k in range(11)}):
+        col = big_eig.values[:, iy]
+        istar = int(np.argmax(np.abs(col)))
+        exact = ss.u_exact(int(big_params.x_lattice()[istar]),
+                           int(big_params.y_lattice()[iy]), big_params)
+        assert abs(col[istar] - exact.to_real()) < 1e-11
+
+
+def test_anchor_singular_trailing_block_raises():
+    # w = 0, p_plus = 1, lambda = 0: the order-3 trailing block below the
+    # first entry is [[0,1,0],[1,0,1],[0,1,0]], exactly singular
+    coeffs = recursion.TridiagCoeffs(
+        params=ss.screen_ranges(2, 2, 2, 2), p_plus=np.array([1.0, 1.0, 1.0, 0.0]),
+        w=np.zeros(4), lam=np.zeros(4))
+    with pytest.raises(ss.ConvergenceFailure):
+        recursion._anchor_sign(coeffs, 0.0, np.array([1.0, 0.0, 0.0, 0.0]))
+
+
+def test_stage_timings(ref_params):
+    stages = {"eigensolve": ["coeffs", "eigh", "anchor", "residual", "defect"],
+              "threeterm": ["coeffs", "solve", "anchor", "residual", "defect"]}
+    for p in (ref_params, ss.screen_ranges(0, 8, 8, 8)):
+        for method, names in stages.items():
+            timings = ss.SCREEN_METHODS[method](p).diagnostics["timings"]
+            assert list(timings) == names
+            assert all(t >= 0.0 for t in timings.values())
 
 
 def test_threeterm_row_normalized(ref_params):
@@ -270,6 +355,11 @@ def test_orthonormality_defect_mid_scale():
     p = ss.screen_ranges(120, 180, 240, 220)
     screen = ss.screen_by_eigensolve(p)
     assert screen.orthonormality_defect() < 1e-10
+
+
+def test_verify_orthonormality_reads_diagnostic(ref_params, ref_eig):
+    (result,) = verify.check_orthonormality(ref_params, None, 0)
+    assert result.value == ref_eig.orthonormality_defect()
 
 
 def test_residual_threeterm_on_oracle(ref_params, ref_oracle):
