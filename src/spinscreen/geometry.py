@@ -104,23 +104,27 @@ class CausticData:
     x_ridge: np.ndarray
 
 
-def ridges_and_caustics(params: ScreenParams, samples_per_step=1, polish=True):
+def _ridge_numerator(A2, B2, C2, D2, X2):
+    """2 X^2 times the squared ridge Y^2 at fixed X (the dV^2/dY^2 = 0 root)."""
+    return (A2 - B2) * (C2 - D2) + (A2 + B2 + C2 + D2) * X2 - X2 * X2
+
+
+def ridges_and_caustics(params: ScreenParams):
     """Ridge curves, maximal volume, and the V=0 caustic branches.
 
-    Caustic roots are polished by bisection on V^2 to 1e-12 of a lattice
-    step (the closed form already solves V^2=0; polishing certifies it
-    against the determinant route).
+    V^2 is a quadratic in Y^2 at fixed X, so the caustic roots are its two
+    closed-form roots, ridge -+ sqrt(lambda_AB lambda_CD) / (2 X^2), with no
+    iterative refinement.
     """
     A, B, C, D = (edge_length(t) for t in params.as_tuple())
     A2, B2, C2, D2 = A * A, B * B, C * C, D * D
     X = np.linspace(edge_length(params.two_x_min), edge_length(params.two_x_max),
-                    (params.side - 1) * samples_per_step + 1)
+                    params.side)
     Y = np.linspace(edge_length(params.two_y_min), edge_length(params.two_y_max),
-                    (params.side - 1) * samples_per_step + 1)
+                    params.side)
     X2s = X * X
     with np.errstate(invalid="ignore"):
-        y_ridge_sq = ((A2 - B2) * (C2 - D2) + (A2 + B2 + C2 + D2) * X2s
-                      - X2s * X2s) / (2 * X2s)
+        y_ridge_sq = _ridge_numerator(A2, B2, C2, D2, X2s) / (2 * X2s)
         lam_prod = lambda_quartic(A, B, X) * lambda_quartic(C, D, X)
         root = np.sqrt(np.where(lam_prod >= 0, lam_prod, np.nan))
         v_max = root / (24 * X)
@@ -130,48 +134,11 @@ def ridges_and_caustics(params: ScreenParams, samples_per_step=1, polish=True):
         y_lo = np.sqrt(np.where(y_lo_sq >= 0, y_lo_sq, np.nan))
         y_hi = np.sqrt(np.where(y_hi_sq >= 0, y_hi_sq, np.nan))
         Y2s = Y * Y
-        x_ridge_sq = ((A2 - D2) * (C2 - B2) + (A2 + B2 + C2 + D2) * Y2s
-                      - Y2s * Y2s) / (2 * Y2s)
+        x_ridge_sq = _ridge_numerator(A2, D2, C2, B2, Y2s) / (2 * Y2s)
         x_ridge = np.sqrt(np.where(x_ridge_sq >= 0, x_ridge_sq, np.nan))
-    if polish:
-        for arr in (y_lo, y_hi):
-            for i, (xv, yv) in enumerate(zip(X, arr)):
-                if np.isfinite(yv):
-                    arr[i] = _polish_caustic(params, float(xv), float(yv))
     return CausticData(params=params, x_samples=X, y_ridge=y_ridge, v_max=v_max,
                        y_caustic_lower=y_lo, y_caustic_upper=y_hi,
                        y_samples=Y, x_ridge=x_ridge)
-
-
-def _polish_caustic(params, Xv, Yv, tol=1e-12):
-    """Bisection refinement of a V^2 = 0 root in Y at fixed X."""
-    A, B, C, D = (edge_length(t) for t in params.as_tuple())
-
-    def v2(y):
-        return volume_sq(Tetrahedron(A, B, C, D, Xv, y))
-
-    if v2(Yv) == 0.0:
-        return Yv
-    step = 1e-6 * max(1.0, Yv)
-    lo = hi = Yv
-    for _ in range(60):
-        lo, hi = Yv - step, Yv + step
-        if v2(lo) * v2(hi) <= 0:
-            break
-        step *= 2
-    else:
-        return Yv
-    flo = v2(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = v2(mid)
-        if fm == 0.0 or (hi - lo) < tol:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def _xprime_sq(X, mode):
@@ -182,18 +149,27 @@ def _xprime_sq(X, mode):
     raise ValueError("xprime_mode must be 'shifted' or 'plain'")
 
 
+def _cos_theta3(A2, B2, C2, D2, Xp2, Y2):
+    """Broadcasting cos(theta3) from the bilinear form; NaN where a face at
+    edge X' degenerates."""
+    f1sq = _area_sq(Xp2, A2, B2)
+    f2sq = _area_sq(Xp2, C2, D2)
+    num = (2 * Xp2 * Y2 - Xp2 * (-Xp2 + D2 + C2)
+           - B2 * (Xp2 + D2 - C2) - A2 * (Xp2 - D2 + C2))
+    den = 16 * np.sqrt(np.maximum(f1sq, 0.0) * np.maximum(f2sq, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = num / den
+    return np.where(np.isfinite(out), out, np.nan)
+
+
 def cos_theta3(t: Tetrahedron, xprime_mode="shifted"):
     """Cosine at edge X from the bilinear form; may exceed 1 in magnitude
     outside the classical region (that is the forbidden-zone signal)."""
-    Xp2 = _xprime_sq(t.X, xprime_mode)
-    A2, B2, C2, D2, Y2 = t.A ** 2, t.B ** 2, t.C ** 2, t.D ** 2, t.Y ** 2
-    f1sq = _area_sq(Xp2, A2, B2)
-    f2sq = _area_sq(Xp2, C2, D2)
-    if f1sq <= 0 or f2sq <= 0:
+    c = float(_cos_theta3(t.A * t.A, t.B * t.B, t.C * t.C, t.D * t.D,
+                          _xprime_sq(t.X, xprime_mode), t.Y * t.Y))
+    if math.isnan(c):
         raise DegenerateFace("face area vanishes at edge X' (mode %s)" % xprime_mode)
-    num = (2 * Xp2 * Y2 - Xp2 * (-Xp2 + D2 + C2)
-           - B2 * (Xp2 + D2 - C2) - A2 * (Xp2 - D2 + C2))
-    return num / (16 * math.sqrt(f1sq) * math.sqrt(f2sq))
+    return c
 
 
 def sin_theta3(t: Tetrahedron, xprime_mode="plain"):
@@ -226,22 +202,10 @@ def cos_theta3_grid(params: ScreenParams, xprime_mode="plain"):
     NaN where a face degenerates; magnitudes above 1 mark forbidden points.
     """
     A, B, C, D = (edge_length(t) for t in params.as_tuple())
-    A2, B2, C2, D2 = A * A, B * B, C * C, D * D
     X = (params.x_lattice() + 1) / 2.0
     Y = (params.y_lattice() + 1) / 2.0
-    Xp2 = X * X - 0.25 if xprime_mode == "shifted" else X * X
-    f1sq = _area_sq(Xp2, A2, B2)
-    f2sq = _area_sq(Xp2, C2, D2)
-    Y2 = Y * Y
-    num = (2 * Xp2[:, None] * Y2[None, :]
-           - (Xp2 * (-Xp2 + D2 + C2))[:, None]
-           - (B2 * (Xp2 + D2 - C2))[:, None]
-           - (A2 * (Xp2 - D2 + C2))[:, None])
-    den = 16 * np.sqrt(np.maximum(f1sq, 0.0) * np.maximum(f2sq, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = num / den[:, None]
-    out[~np.isfinite(out)] = np.nan
-    return out
+    return _cos_theta3(A * A, B * B, C * C, D * D,
+                       _xprime_sq(X, xprime_mode)[:, None], (Y * Y)[None, :])
 
 
 def volume_sq_grid(params: ScreenParams):
@@ -253,14 +217,12 @@ def volume_sq_grid(params: ScreenParams):
     X2 = X * X
     Y2 = Y * Y
     # Cayley-Menger expanded: V^2 as quadratic in Y^2 at fixed X^2
-    #   288 V^2 = -2 X^2 Y^4 + 2 [(A^2-B^2)(C^2-D^2) + (A^2+B^2+C^2+D^2) X^2
-    #             - X^4] Y^2 + (X^2-independent-and-lambda terms)
+    #   288 V^2 = -2 X^2 Y^4 + 2 [ridge numerator] Y^2 + c0
     c2 = -2.0 * X2
-    c1 = 2.0 * ((A2 - B2) * (C2 - D2) + (A2 + B2 + C2 + D2) * X2 - X2 * X2)
-    lamAB = (A2 - B2) ** 2 - 2 * X2 * (A2 + B2) + X2 * X2
-    lamCD = (C2 - D2) ** 2 - 2 * X2 * (C2 + D2) + X2 * X2
+    c1 = 2.0 * _ridge_numerator(A2, B2, C2, D2, X2)
     # at the ridge Y^2 = -c1/(2 c2), 288 V^2 = lamAB*lamCD/(2X^2); solve c0
-    c0 = lamAB * lamCD / (2.0 * X2) + c1 ** 2 / (4.0 * c2)
+    c0 = (lambda_quartic(A, B, X) * lambda_quartic(C, D, X) / (2.0 * X2)
+          + c1 ** 2 / (4.0 * c2))
     out = (c2[:, None] * Y2[None, :] ** 2 + c1[:, None] * Y2[None, :]
            + c0[:, None]) / 288.0
     return out

@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import exact
+from . import recursion
 from .exact import SqrtRational, sixj_exact
 from .spins import ScreenParams, triad_ok
 
@@ -142,34 +142,26 @@ def random_stencils(count, two_j_max=12, seed=0):
 # matches the screen's cross recursion coefficient by coefficient up to one
 # common factor per stencil.
 
-def _screen_raw_coeffs(params: ScreenParams, two_x, two_y):
+def _screen_raw_coeffs(cross, params: ScreenParams, two_x, two_y):
     """Screen cross-recursion coefficients rewritten for plain 6j values.
 
-    Order [x+1, x-1, y+1, y-1, center]; multiplying each U coefficient by
-    sqrt((2x'+1)(2y'+1)) converts the identity to the unnormalized symbols.
+    cross: the (cx, cy) arrays of recursion._cross_coeffs(params), which
+    carry sqrt((2x+1)(2x'+1)) per slot.  Order [x+1, x-1, y+1, y-1, center];
+    rescaling each slot by sqrt((2x'+1)/(2x+1)) makes it (2x'+1) times the
+    unit 6j pair, the identity for the unnormalized symbols.
     """
-    ta, tb, tc, td = params.as_tuple()
-    phx = (-1.0) ** two_x
-    phy = (-1.0) ** two_y
+    cx, cy = cross
+    ix, iy = params.x_index(two_x), params.y_index(two_y)
+
     def xcoeff(dt):
-        txp = two_x + dt
-        if txp < 0:
-            return 0.0
-        pair = (exact.sixj_unit_float(tb, txp, ta, 2, ta, two_x)
-                * exact.sixj_unit_float(td, txp, tc, 2, tc, two_x))
-        return phx * (txp + 1) * pair
+        return ((-1.0) ** two_x * cx[dt // 2 + 1, ix]
+                * math.sqrt((two_x + dt + 1) / (two_x + 1)))
 
     def ycoeff(dt):
-        typ = two_y + dt
-        if typ < 0:
-            return 0.0
-        pair = (exact.sixj_unit_float(tb, typ, tc, 2, tc, two_y)
-                * exact.sixj_unit_float(td, typ, ta, 2, ta, two_y))
-        return -phy * (typ + 1) * pair
+        return (-(-1.0) ** two_y * cy[dt // 2 + 1, iy]
+                * math.sqrt((two_y + dt + 1) / (two_y + 1)))
 
-    coeffs = [xcoeff(2), xcoeff(-2), ycoeff(2), ycoeff(-2),
-              xcoeff(0) + ycoeff(0)]
-    return coeffs
+    return [xcoeff(2), xcoeff(-2), ycoeff(2), ycoeff(-2), xcoeff(0) + ycoeff(0)]
 
 
 @dataclass
@@ -198,10 +190,11 @@ def reduction_check(params: ScreenParams, n_stencils=50, seed=0):
     worst = 0.0
     if not xs or not ys:
         return ReductionReport(params, 0, 0, 0.0)
+    cross = recursion._cross_coeffs(params)
     for _ in range(n_stencils):
         two_x = rng.choice(xs)
         two_y = rng.choice(ys)
-        raw = _screen_raw_coeffs(params, two_x, two_y)
+        raw = _screen_raw_coeffs(cross, params, two_x, two_y)
         # 9j dictionary: {a b c=x; d=y e=b f=c_s; g=d_s h=0 j=d_s}
         nine = _stencil_coeffs(ta, tb, two_x, two_y, tb, tc, td, td)
         ratios = []

@@ -81,56 +81,63 @@ class DihedralAngles:
                 "C": self.eta1, "D": self.eta2, "Y": self.eta3}
 
 
-def _edge_cos(e2, eop2, u2, v2, ub2, vb2, f1sq, f2sq):
-    """Dihedral cosine at an edge from squared lengths and face areas.
+def _edge_angles(t: Tetrahedron, v):
+    """Yield (edge, length, angle, cos) for the six edges A, B, X, C, D, Y.
 
-    (u, ub) and (v, vb) are the opposite side-edge pairs; faces at the edge
-    are (u, v, e) and (ub, vb, e).
+    Broadcasting: the lengths of t and the volume v may be arrays.  The
+    cosine is the edge-permuted bilinear form, the sine comes from the volume
+    relation 3 V e / 2 = F1 F2 sin, and the faces at an edge e are (u, v, e)
+    and (ub, vb, e), with (u, ub) and (v, vb) opposite.
     """
-    num = (2 * e2 * eop2 + e2 * e2 - e2 * (ub2 + vb2)
-           - v2 * (e2 + vb2 - ub2) - u2 * (e2 - vb2 + ub2))
-    return num / (16.0 * math.sqrt(f1sq * f2sq))
+    A2, B2, C2, D2 = t.A * t.A, t.B * t.B, t.C * t.C, t.D * t.D
+    X2, Y2 = t.X * t.X, t.Y * t.Y
+    f_abx = geometry._area_sq(A2, B2, X2)
+    f_cdx = geometry._area_sq(C2, D2, X2)
+    f_ady = geometry._area_sq(A2, D2, Y2)
+    f_bcy = geometry._area_sq(B2, C2, Y2)
+    table = (
+        # edge, length, e2, eop2, u2, v2, ub2, vb2, face1 sq, face2 sq
+        ("A", t.A, A2, C2, B2, X2, D2, Y2, f_abx, f_ady),
+        ("B", t.B, B2, D2, A2, X2, C2, Y2, f_abx, f_bcy),
+        ("X", t.X, X2, Y2, A2, B2, C2, D2, f_abx, f_cdx),
+        ("C", t.C, C2, A2, D2, X2, B2, Y2, f_cdx, f_bcy),
+        ("D", t.D, D2, B2, C2, X2, A2, Y2, f_cdx, f_ady),
+        ("Y", t.Y, Y2, X2, A2, D2, C2, B2, f_ady, f_bcy),
+    )
+    for edge, length, e2, eop2, u2, v2, ub2, vb2, f1, f2 in table:
+        num = (2 * e2 * eop2 + e2 * e2 - e2 * (ub2 + vb2)
+               - v2 * (e2 + vb2 - ub2) - u2 * (e2 - vb2 + ub2))
+        faces = np.sqrt(f1 * f2)
+        cos_e = num / (16.0 * faces)
+        sin_e = 1.5 * v * length / faces
+        yield edge, length, np.arctan2(sin_e, cos_e), cos_e
+
+
+def _classical_volume(t: Tetrahedron):
+    """V at a classically allowed point; OutsideDomain elsewhere."""
+    v2 = geometry.volume_sq(t)
+    if v2 <= 0:
+        raise OutsideDomain("volume squared is not positive")
+    return math.sqrt(v2)
 
 
 def dihedral_angles(t: Tetrahedron):
     """All six angles; sine from the volume relation, cosine sign from the
     edge-permuted bilinear form.  Requires a classically allowed point."""
-    v2 = geometry.volume_sq(t)
-    if v2 <= 0:
-        raise OutsideDomain("volume squared is not positive")
-    v = math.sqrt(v2)
-    A2, B2, C2, D2 = t.A ** 2, t.B ** 2, t.C ** 2, t.D ** 2
-    X2, Y2 = t.X ** 2, t.Y ** 2
-    f_abx = geometry._area_sq(A2, B2, X2)
-    f_cdx = geometry._area_sq(C2, D2, X2)
-    f_ady = geometry._area_sq(A2, D2, Y2)
-    f_bcy = geometry._area_sq(B2, C2, Y2)
-    edge_table = {
-        # edge: (e2, eop2, u2, v2, ub2, vb2, face1 sq, face2 sq)
-        "A": (A2, C2, B2, X2, D2, Y2, f_abx, f_ady),
-        "B": (B2, D2, A2, X2, C2, Y2, f_abx, f_bcy),
-        "X": (X2, Y2, A2, B2, C2, D2, f_abx, f_cdx),
-        "C": (C2, A2, D2, X2, B2, Y2, f_cdx, f_bcy),
-        "D": (D2, B2, C2, X2, A2, Y2, f_cdx, f_ady),
-        "Y": (Y2, X2, A2, D2, C2, B2, f_ady, f_bcy),
-    }
-    lengths = {"A": t.A, "B": t.B, "X": t.X, "C": t.C, "D": t.D, "Y": t.Y}
-    angles = {}
-    for edge, (e2, eop2, u2, v2e, ub2, vb2, f1, f2) in edge_table.items():
-        cos_e = _edge_cos(e2, eop2, u2, v2e, ub2, vb2, f1, f2)
-        sin_e = 1.5 * v * lengths[edge] / math.sqrt(f1 * f2)
-        angles[edge] = math.atan2(sin_e, cos_e)
+    angles = {edge: float(angle)
+              for edge, _, angle, _ in _edge_angles(t, _classical_volume(t))}
     return DihedralAngles(theta1=angles["A"], theta2=angles["B"],
                           theta3=angles["X"], eta1=angles["C"],
                           eta2=angles["D"], eta3=angles["Y"])
 
 
 def pr_phase(two_x, two_y, params: ScreenParams):
-    """Stationary phase: sum of edge * angle over all six edges, plus pi/4."""
+    """Stationary phase: pi/4 plus the sum of edge * angle over all six edges."""
     t = Tetrahedron.from_two_j(params, two_x, two_y)
-    ang = dihedral_angles(t)
-    return (t.A * ang.theta1 + t.B * ang.theta2 + t.X * ang.theta3
-            + t.C * ang.eta1 + t.D * ang.eta2 + t.Y * ang.eta3 + math.pi / 4)
+    phase = math.pi / 4
+    for _, length, angle, _ in _edge_angles(t, _classical_volume(t)):
+        phase += length * angle
+    return float(phase)
 
 
 def pr_amplitude(two_x, two_y, params: ScreenParams):
@@ -172,39 +179,21 @@ def _pr_grid(params: ScreenParams):
     A, B, C, D = (edge_length(t) for t in params.as_tuple())
     X = (params.x_lattice() + 1) / 2.0
     Y = (params.y_lattice() + 1) / 2.0
-    A2, B2, C2, D2 = A * A, B * B, C * C, D * D
-    X2g, Y2g = np.meshgrid(X * X, Y * Y, indexing="ij")
     v2 = geometry.volume_sq_grid(params)
     classical = v2 > 0
     v = np.sqrt(np.where(classical, v2, np.nan))
-    f_abx = geometry._area_sq(A2, B2, X2g)
-    f_cdx = geometry._area_sq(C2, D2, X2g)
-    f_ady = geometry._area_sq(A2, D2, Y2g)
-    f_bcy = geometry._area_sq(B2, C2, Y2g)
-    edge_table = {
-        "A": (A2, C2, B2, X2g, D2, Y2g, f_abx, f_ady, A),
-        "B": (B2, D2, A2, X2g, C2, Y2g, f_abx, f_bcy, B),
-        "X": (X2g, Y2g, A2, B2, C2, D2, f_abx, f_cdx, X[:, None]),
-        "C": (C2, A2, D2, X2g, B2, Y2g, f_cdx, f_bcy, C),
-        "D": (D2, B2, C2, X2g, A2, Y2g, f_cdx, f_ady, D),
-        "Y": (Y2g, X2g, A2, D2, C2, B2, f_ady, f_bcy, Y[None, :]),
-    }
     phase = np.full(v2.shape, math.pi / 4)
-    cos_x = None
     with np.errstate(invalid="ignore", divide="ignore"):
-        for edge, (e2, eop2, u2, v2e, ub2, vb2, f1, f2, length) in edge_table.items():
-            num = (2 * e2 * eop2 + e2 * e2 - e2 * (ub2 + vb2)
-                   - v2e * (e2 + vb2 - ub2) - u2 * (e2 - vb2 + ub2))
-            cos_e = num / (16.0 * np.sqrt(f1 * f2))
-            sin_e = 1.5 * v * length / np.sqrt(f1 * f2)
+        for edge, length, angle, cos_e in _edge_angles(
+                Tetrahedron(A, B, C, D, X[:, None], Y[None, :]), v):
             if edge == "X":
                 cos_x = cos_e
-            phase += length * np.arctan2(sin_e, cos_e)
+            phase += length * angle
         est = np.cos(phase) / np.sqrt(12 * math.pi * v)
     return est, cos_x, v, classical
 
 
-def pr_compare(params: ScreenParams, reference=None, edge_margin=None):
+def pr_compare(params: ScreenParams, reference=None):
     """Full-screen error report of the stationary-phase estimate.
 
     reference: a Screen of exact-method or eigensolver values (defaults to
@@ -212,13 +201,11 @@ def pr_compare(params: ScreenParams, reference=None, edge_margin=None):
     error scales).  Relative errors exclude near-zeros of the oscillation:
     points where |reference| < 5% of the local envelope.  The "core"
     statistics additionally restrict to |cos(theta3)| <= 0.5 and keep
-    edge_margin lattice steps away from the screen boundary, where the
-    estimate degrades with the face areas.
+    max(2, side // 100) lattice steps away from the screen boundary, where
+    the estimate degrades with the face areas.
     """
     if reference is None:
         reference = recursion.screen_by_eigensolve(params)
-    if edge_margin is None:
-        edge_margin = max(2, params.side // 100)
     est, cos_x, v, classical = _pr_grid(params)
     xs = params.x_lattice()
     ys = params.y_lattice()
@@ -233,7 +220,7 @@ def pr_compare(params: ScreenParams, reference=None, edge_margin=None):
     caustic_band = classical & ~near_zero & (np.abs(cos_x) > 0.9)
     inset = np.zeros(est.shape, dtype=bool)
     n = params.side
-    m = min(edge_margin, (n - 1) // 2)
+    m = min(max(2, n // 100), (n - 1) // 2)
     inset[m:n - m, m:n - m] = True
     core = classical & ~near_zero & (np.abs(cos_x) <= 0.5) & inset
     sign_ok = np.sign(est) == np.sign(ref_6j)

@@ -132,8 +132,8 @@ def check_regge_invariance(params, rng, n_random):
     eig = recursion.screen_by_eigensolve(params)
     eig_c = recursion.screen_by_eigensolve(conj)
     worst = float(np.max(np.abs(eig.values - eig_c.values)))
-    ca = geometry.ridges_and_caustics(params, polish=False)
-    cb = geometry.ridges_and_caustics(conj, polish=False)
+    ca = geometry.ridges_and_caustics(params)
+    cb = geometry.ridges_and_caustics(conj)
     for fa, fb in ((ca.y_ridge, cb.y_ridge), (ca.v_max, cb.v_max),
                    (ca.y_caustic_lower, cb.y_caustic_lower),
                    (ca.y_caustic_upper, cb.y_caustic_upper),

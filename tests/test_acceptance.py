@@ -144,8 +144,8 @@ def test_criterion_06_regge_invariance_on_screen(ref_params, ref_eig):
     other = ss.screen_by_eigensolve(conj)
     d_grid = np.max(np.abs(other.values - ref_eig.values))
     assert d_grid <= 1e-12
-    a = ss.ridges_and_caustics(ref_params, polish=False)
-    b = ss.ridges_and_caustics(conj, polish=False)
+    a = ss.ridges_and_caustics(ref_params)
+    b = ss.ridges_and_caustics(conj)
     d_curves = 0.0
     for fa, fb in ((a.y_ridge, b.y_ridge), (a.v_max, b.v_max),
                    (a.y_caustic_lower, b.y_caustic_lower),

@@ -73,7 +73,7 @@ def test_volume_grid_matches_scalar(ref_params):
 def test_ridge_symmetric_case():
     # A=B and C=D: ridge reduces to (A^2 + C^2 - X^2/2)^(1/2)
     p = ss.screen_ranges(7, 7, 11, 11)
-    data = ss.ridges_and_caustics(p, polish=False)
+    data = ss.ridges_and_caustics(p)
     A = edge_length(7)
     C = edge_length(11)
     for Xv, yr in zip(data.x_samples, data.y_ridge):
@@ -95,8 +95,29 @@ def test_caustics_are_volume_roots(ref_params):
                 assert abs(v2) <= 1e-9 * vmax ** 2
 
 
+@pytest.mark.parametrize("quad", [(60, 90, 120, 110), (30, 34, 50, 40),
+                                  (7, 9, 11, 13), (40, 40, 40, 40),
+                                  (96, 43, 107, 50)])
+def test_caustic_roots_closed_form_accuracy(quad):
+    # the closed-form roots of the quadratic in Y^2 are V^2 = 0 to rounding
+    p = ss.screen_ranges(*quad)
+    data = ss.ridges_and_caustics(p)
+    A, B, C, D = (edge_length(t) for t in p.as_tuple())
+    n_root = 0
+    for i, Xv in enumerate(data.x_samples):
+        vmax = data.v_max[i]
+        if not np.isfinite(vmax) or vmax <= 0:
+            continue
+        for Yv in (data.y_caustic_lower[i], data.y_caustic_upper[i]):
+            if np.isfinite(Yv):
+                v2 = ss.volume_sq(Tetrahedron(A, B, C, D, float(Xv), float(Yv)))
+                assert abs(v2) <= 1e-13 * vmax ** 2
+                n_root += 1
+    assert n_root > 0
+
+
 def test_ridge_volume_equals_vmax(ref_params):
-    data = ss.ridges_and_caustics(ref_params, polish=False)
+    data = ss.ridges_and_caustics(ref_params)
     A, B, C, D = (edge_length(t) for t in ref_params.as_tuple())
     for i, Xv in enumerate(data.x_samples):
         yr, vmax = data.y_ridge[i], data.v_max[i]
@@ -107,8 +128,8 @@ def test_ridge_volume_equals_vmax(ref_params):
 
 def test_caustics_regge_invariant(ref_params):
     conj = ss.screen_ranges(*ss.regge_conjugate(*ref_params.as_tuple()))
-    a = ss.ridges_and_caustics(ref_params, polish=False)
-    b = ss.ridges_and_caustics(conj, polish=False)
+    a = ss.ridges_and_caustics(ref_params)
+    b = ss.ridges_and_caustics(conj)
     for fa, fb in ((a.y_ridge, b.y_ridge), (a.v_max, b.v_max),
                    (a.y_caustic_lower, b.y_caustic_lower),
                    (a.y_caustic_upper, b.y_caustic_upper),
@@ -120,7 +141,7 @@ def test_caustics_regge_invariant(ref_params):
 
 
 def test_caustic_ordering(ref_params):
-    data = ss.ridges_and_caustics(ref_params, polish=False)
+    data = ss.ridges_and_caustics(ref_params)
     both = (np.isfinite(data.y_caustic_lower)
             & np.isfinite(data.y_caustic_upper) & np.isfinite(data.y_ridge))
     assert np.all(data.y_caustic_lower[both] <= data.y_ridge[both] + 1e-12)
@@ -148,6 +169,30 @@ def test_cos_theta3_unit_magnitude_on_caustic(ref_params):
             assert abs(abs(c) - 1.0) < 1e-9
             count += 1
     assert count > 20
+
+
+@pytest.mark.parametrize("mode", ["plain", "shifted"])
+def test_cos_theta3_scalar_matches_grid_bitwise(ref_params, mode):
+    grid = ss.cos_theta3_grid(ref_params, mode)
+    xs, ys = ref_params.x_lattice(), ref_params.y_lattice()
+    n_point = 0
+    for ix, tx in enumerate(xs):
+        for iy, ty in enumerate(ys):
+            t = Tetrahedron.from_two_j(ref_params, int(tx), int(ty))
+            if np.isnan(grid[ix, iy]):
+                with pytest.raises(ss.DegenerateFace):
+                    ss.cos_theta3(t, mode)
+                continue
+            assert ss.cos_theta3(t, mode) == grid[ix, iy]
+            n_point += 1
+    assert n_point > 0.9 * ref_params.side ** 2
+
+
+def test_cos_theta3_grid_rejects_unknown_mode(ref_params):
+    with pytest.raises(ValueError):
+        ss.cos_theta3_grid(ref_params, "bogus")
+    with pytest.raises(ValueError):
+        ss.cos_theta3(Tetrahedron(2, 2, 2, 2, 2, 2), "bogus")
 
 
 def test_sin_cos_pythagorean_identity(ref_params):

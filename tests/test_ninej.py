@@ -6,6 +6,7 @@ import pytest
 import spinscreen as ss
 from spinscreen.ninej import (_screen_raw_coeffs, _stencil_coeffs, ninej_valid,
                               random_stencils)
+from spinscreen.recursion import _cross_coeffs
 
 
 def brute_force_ninej(tjs):
@@ -136,7 +137,7 @@ def test_h0_residual_matches_screen_recursion():
         ty = int(rng.choice(ys[1:-1]))
         ta, tb, tc, td = p.as_tuple()
         nine = ss.ninej_residual(ta, tb, tx, ty, tb, tc, td, 0, td)
-        raw = _screen_raw_coeffs(p, tx, ty)
+        raw = _screen_raw_coeffs(_cross_coeffs(p), p, tx, ty)
         vals = [
             ss.u_exact(tx + 2, ty, p).to_real() / math.sqrt((tx + 3) * (ty + 1)),
             ss.u_exact(tx - 2, ty, p).to_real() / math.sqrt((tx - 1) * (ty + 1)),
