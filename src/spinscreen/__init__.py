@@ -2,12 +2,11 @@
 geometry, semiclassical estimates, and the 9j five-point recurrence."""
 
 from .errors import (CausticProximityWarning, ConvergenceFailure,
-                     DegenerateFace, EmptyScreen, MatchFailure,
-                     NegativeRadicand, NoClassicalWindow, OutOfRange,
-                     OutsideDomain, ParityError, PatternError, SeedMismatch,
-                     SpinScreenError, ZeroPivot)
+                     DegenerateFace, EmptyScreen, NegativeRadicand,
+                     NoClassicalWindow, OutOfRange, OutsideDomain, ParityError,
+                     PatternError, SpinScreenError, ZeroPivot)
 from .exact import (SqrtRational, factorial, screen_oracle, sixj_exact,
-                    sixj_unit, sixj_unit_float, sixj_zero_entry, u_exact)
+                    sixj_unit, sixj_zero_entry, u_exact)
 from .geometry import (CausticData, GeometricCoeffs, PotentialCurves,
                        Tetrahedron, cos_theta3, cos_theta3_grid, edge_length,
                        f_transform, geometric_coeffs, heron_area,

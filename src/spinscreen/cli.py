@@ -28,7 +28,12 @@ def _add_params(parser):
 
 
 def _params_from(args):
-    return ScreenParams(args.two_a, args.two_b, args.two_c, args.two_d)
+    """ScreenParams from the command line, or None after reporting why not."""
+    try:
+        return ScreenParams(args.two_a, args.two_b, args.two_c, args.two_d)
+    except (EmptyScreen, ValueError) as err:
+        print("invalid parameters: %s" % err, file=sys.stderr)
+        return None
 
 
 # the method registry under the name perfbench's tracer test reads
@@ -42,10 +47,8 @@ def cmd_compute(args):
             print("unknown output %r (choose from %s)" % (o, ", ".join(_OUTPUTS)),
                   file=sys.stderr)
             return 2
-    try:
-        params = _params_from(args)
-    except (EmptyScreen, ValueError) as err:
-        print("invalid parameters: %s" % err, file=sys.stderr)
+    params = _params_from(args)
+    if params is None:
         return 2
     if args.method == "oracle" and params.two_kappa > _ORACLE_KAPPA2_CAP \
             and "screen" in outputs:
@@ -118,10 +121,8 @@ def _print_results(results):
 
 
 def cmd_verify(args):
-    try:
-        params = _params_from(args)
-    except (EmptyScreen, ValueError) as err:
-        print("invalid parameters: %s" % err, file=sys.stderr)
+    params = _params_from(args)
+    if params is None:
         return 2
     names = args.check or None
     results = verify.run_checks(names=names, params=params,
@@ -143,7 +144,9 @@ def cmd_verify(args):
 def cmd_ninej_check(args):
     params = None
     if args.reduce:
-        params = ScreenParams(args.two_a, args.two_b, args.two_c, args.two_d)
+        params = _params_from(args)
+        if params is None:
+            return 2
     results = verify.run_ninej_checks(
         count=args.count, two_j_max=args.two_j_max, seed=args.seed,
         two_h=args.two_h, reduce_check=args.reduce, params=params)

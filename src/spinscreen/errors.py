@@ -22,15 +22,7 @@ class PatternError(SpinScreenError):
 
 
 class ConvergenceFailure(SpinScreenError):
-    """The eigensolver failed to converge."""
-
-
-class MatchFailure(SpinScreenError):
-    """A recursion produced a null row that cannot be normalized."""
-
-
-class SeedMismatch(SpinScreenError):
-    """Seed rows for the 2D recursion fail their orthonormality check."""
+    """An eigensolve, a row solve or a recursion gave no usable result."""
 
 
 class ZeroPivot(SpinScreenError):

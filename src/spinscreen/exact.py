@@ -391,17 +391,6 @@ def sixj_unit(tj1, tj2, tj3, tj4, tj5, tj6):
     return SqrtRational(pref, Fraction(num, den))
 
 
-def sixj_unit_float(tj1, tj2, tj3, tj4, tj5, tj6):
-    """Double-precision fast path of sixj_unit (same dispatch, float math)."""
-    parts = _unit_parts((tj1, tj2, tj3, tj4, tj5, tj6))
-    if parts is None:
-        return 0.0
-    pref, num, den = parts
-    if pref == 0 or num == 0:
-        return 0.0
-    return float(pref) * math.sqrt(num / den)
-
-
 def sixj_zero_entry(two_a, two_b, two_x):
     """Closed form for {a b x; 0 x b} = (-1)^(a+b+x)/sqrt((2b+1)(2x+1))."""
     if not triad_ok(two_a, two_b, two_x):

@@ -131,12 +131,10 @@ def write_potentials_json(pot_arith, pot_geom, path):
         fh.write("\n")
 
 
-def write_field_csv(params: ScreenParams, grid, column, path, extra_meta=None):
+def write_field_csv(params: ScreenParams, grid, column, path):
     """A lattice-indexed scalar field as two_x,two_y,<column> rows."""
     with open(path, "w") as fh:
         for key, val in _meta(params).items():
-            fh.write("# %s=%s\n" % (key, val))
-        for key, val in (extra_meta or {}).items():
             fh.write("# %s=%s\n" % (key, val))
         fh.write("two_x,two_y,%s\n" % column)
         for iy, ty in enumerate(params.y_lattice()):

@@ -146,22 +146,21 @@ def _screen_raw_coeffs(cross, params: ScreenParams, two_x, two_y):
     """Screen cross-recursion coefficients rewritten for plain 6j values.
 
     cross: the (cx, cy) arrays of recursion._cross_coeffs(params), which
-    carry sqrt((2x+1)(2x'+1)) per slot.  Order [x+1, x-1, y+1, y-1, center];
-    rescaling each slot by sqrt((2x'+1)/(2x+1)) makes it (2x'+1) times the
-    unit 6j pair, the identity for the unnormalized symbols.
+    carry sqrt((2x+1)(2x'+1)) per slot, with x-side = y-side.  Order
+    [x+1, x-1, y+1, y-1, center]; rescaling each slot by
+    sqrt((2x'+1)/(2x+1)) makes it (2x'+1) times the unit 6j pair, the
+    identity for the unnormalized symbols.
     """
     cx, cy = cross
     ix, iy = params.x_index(two_x), params.y_index(two_y)
 
     def xcoeff(dt):
-        return ((-1.0) ** two_x * cx[dt // 2 + 1, ix]
-                * math.sqrt((two_x + dt + 1) / (two_x + 1)))
+        return cx[dt // 2 + 1, ix] * math.sqrt((two_x + dt + 1) / (two_x + 1))
 
     def ycoeff(dt):
-        return (-(-1.0) ** two_y * cy[dt // 2 + 1, iy]
-                * math.sqrt((two_y + dt + 1) / (two_y + 1)))
+        return cy[dt // 2 + 1, iy] * math.sqrt((two_y + dt + 1) / (two_y + 1))
 
-    return [xcoeff(2), xcoeff(-2), ycoeff(2), ycoeff(-2), xcoeff(0) + ycoeff(0)]
+    return [xcoeff(2), xcoeff(-2), -ycoeff(2), -ycoeff(-2), xcoeff(0) - ycoeff(0)]
 
 
 @dataclass

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from . import exact
-from .errors import ConvergenceFailure, MatchFailure, SeedMismatch, ZeroPivot
+from .errors import ConvergenceFailure, ZeroPivot
 from .screen import Screen
 from .spins import ScreenParams
 
@@ -42,22 +42,29 @@ class TridiagCoeffs:
         return self.w[:, None] - self.lam[None, :]
 
 
-def tridiag_coeffs(params: ScreenParams):
-    """Recursion coefficients p_plus, w and eigenvalues lambda for a screen."""
-    a, b, c, d = (t / 2.0 for t in params.as_tuple())
-    x = params.x_lattice() / 2.0
-    y = params.y_lattice() / 2.0
+def _recursion_terms(params: ScreenParams, half):
+    """The three-term recursion's pieces with j = half(two_j): the radicand
+    f of p_plus = sqrt(f) / ((x+1) sqrt((2x+1)(2x+3))), the x lattice, w and
+    lambda.  half gives floats for tridiag_coeffs and exact Fractions for the
+    cross recursion."""
+    a, b, c, d = (half(t) for t in params.as_tuple())
+    x = half(params.x_lattice())
+    y = half(params.y_lattice())
     f_ab = (a + b + x + 2) * (a + b - x) * (a - b + x + 1) * (-a + b + x + 1)
     f_cd = (d + c + x + 2) * (d + c - x) * (d - c + x + 1) * (-d + c + x + 1)
-    p_plus = np.sqrt(np.maximum(f_ab, 0.0) * np.maximum(f_cd, 0.0)) \
-        / ((x + 1) * np.sqrt((2 * x + 1) * (2 * x + 3)))
     xx = x * (x + 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = (b * (b + 1) - a * (a + 1) + xx) * (d * (d + 1) - c * (c + 1) - xx) / xx
-    if params.two_x_min == 0:
-        # x=0 occurs only for a=b, c=d, where w(x) = -x(x+1) exactly
-        w[0] = 0.0
+    # x=0 occurs only for a=b, c=d, where w(x) = -x(x+1) and the numerator
+    # vanishes: dividing it by 1 there gives w(0) = 0
+    w = ((b * (b + 1) - a * (a + 1) + xx) * (d * (d + 1) - c * (c + 1) - xx)
+         / np.where(xx == 0, 1, xx))
     lam = 2 * (y * (y + 1) - b * (b + 1) - c * (c + 1))
+    return f_ab * f_cd, x, w, lam
+
+
+def tridiag_coeffs(params: ScreenParams):
+    """Recursion coefficients p_plus, w and eigenvalues lambda for a screen."""
+    f, x, w, lam = _recursion_terms(params, lambda two_j: two_j / 2.0)
+    p_plus = np.sqrt(f) / ((x + 1) * np.sqrt((2 * x + 1) * (2 * x + 3)))
     return TridiagCoeffs(params=params, p_plus=p_plus, w=w, lam=lam)
 
 
@@ -212,45 +219,56 @@ def screen_by_threeterm(params: ScreenParams):
     return _core_diagnostics(screen, coeffs, laps)
 
 
-def _unit_pair_exact(tp, tq, tr, ts, t, dt):
-    """{p t+dt q; 1 q t} {r t+dt s; 1 s t} as (prefactor, radicand) exact."""
-    first = exact._unit_parts((tp, t + dt, tq, 2, tq, t)) if t + dt >= 0 else None
-    second = exact._unit_parts((tr, t + dt, ts, 2, ts, t)) if t + dt >= 0 else None
-    if first is None or second is None:
-        return Fraction(0), Fraction(0)
-    q1, n1, d1 = first
-    q2, n2, d2 = second
-    return q1 * q2, Fraction(n1 * n2, d1 * d2)
+def _cross_rows(params: ScreenParams, terms):
+    """Five-term coefficient rows (cx, cy), each [p_minus, diagonal, p_plus].
 
-
-def _cross_coeffs_exact(params: ScreenParams):
-    """Exact five-term coefficients: lists of (prefactor, radicand) pairs.
-
-    The equation is multiplied through by sqrt((2x+1)(2y+1)), so the x-side
-    coefficient at offset dt is sqrt((2x+1)(2x+2dt+1)) {b x' a; 1 a x}
-    {d x' c; 1 c x}, and symmetrically in y with (b,c) and (d,a) pairings.
+    The five-term recursion is the sum of the two three-term ones
+    (Schulten & Gordon, J. Math. Phys. 16, 1961 (1975)).  Along x the row is
+    [p_minus(x), w(x) + mu(x) + 4c(c+1), p_plus(x)], with mu(x) the lambda
+    of the transposed screen; along y it is the transposed screen's
+    three-term row with lambda(y) in place of mu(x).  By the two three-term
+    recursions both sides equal (lambda + mu + 4c(c+1)) U, so the recursion
+    reads x-side = y-side.  terms(params) gives (p_plus, w, lambda) in any
+    number type; p_minus(x) = p_plus(x-1).
     """
     ta, tb, tc, td = params.as_tuple()
-    xs = [int(t) for t in params.x_lattice()]
-    ys = [int(t) for t in params.y_lattice()]
-    cx = [[(Fraction(0), Fraction(0))] * len(xs) for _ in range(3)]
-    cy = [[(Fraction(0), Fraction(0))] * len(ys) for _ in range(3)]
-    for k, dt in enumerate((-2, 0, 2)):
-        for i, tx in enumerate(xs):
-            pref, rad = _unit_pair_exact(tb, ta, td, tc, tx, dt)
-            cx[k][i] = (pref, rad * (tx + 1) * (tx + dt + 1))
-        for i, ty in enumerate(ys):
-            pref, rad = _unit_pair_exact(tb, tc, td, ta, ty, dt)
-            cy[k][i] = (pref, rad * (ty + 1) * (ty + dt + 1))
-    return cx, cy
+    four_cc = tc * (tc + 2)
+
+    def rows(p_plus, w, shift):
+        return [np.concatenate(([0], p_plus[:-1])), w + shift + four_cc, p_plus]
+
+    p_x, w_x, lam = terms(params)
+    # {a b x; c d y} = {a d y; c b x}: the screen with x and y exchanged
+    p_y, w_y, mu = terms(ScreenParams(ta, td, tc, tb))
+    return rows(p_x, w_x, mu), rows(p_y, w_y, lam)
 
 
 def _cross_coeffs(params: ScreenParams):
-    """Float arrays (3, n) of the five-term coefficients."""
-    cx_e, cy_e = _cross_coeffs_exact(params)
-    cx = np.array([[float(p) * math.sqrt(r) for p, r in row] for row in cx_e])
-    cy = np.array([[float(p) * math.sqrt(r) for p, r in row] for row in cy_e])
-    return cx, cy
+    """Float arrays (3, n) of the five-term coefficients.
+
+    They are kappa = 1/sqrt(ta(ta+1)(ta+2) tc(tc+1)(tc+2)) times the rows of
+    _cross_rows: up to one sign per axis, sqrt((2x+1)(2x'+1)) times the unit
+    6j pair {b x' a; 1 a x} {d x' c; 1 c x} along x, and the pair with
+    (b,c) and (d,a) along y.  A side of 2 or more makes ta, tc >= 1.
+    """
+    def terms(p):
+        coeffs = tridiag_coeffs(p)
+        return coeffs.p_plus, coeffs.w, coeffs.lam
+
+    ta, tc = params.two_a, params.two_c
+    kappa = 1.0 / math.sqrt(ta * (ta + 1) * (ta + 2) * tc * (tc + 1) * (tc + 2))
+    cx, cy = _cross_rows(params, terms)
+    return kappa * np.array(cx), kappa * np.array(cy)
+
+
+def _cross_rows_exact(params: ScreenParams):
+    """The rows of _cross_rows in Fractions, with p_minus and p_plus squared."""
+    def terms(p):
+        f, x, w, lam = _recursion_terms(
+            p, lambda two_j: np.asarray(two_j, dtype=object) * Fraction(1, 2))
+        return f / ((x + 1) ** 2 * (2 * x + 1) * (2 * x + 3)), w, lam
+
+    return _cross_rows(params, terms)
 
 
 def _decimal_digits(params: ScreenParams):
@@ -263,30 +281,33 @@ def _decimal_digits(params: ScreenParams):
     return 40 + params.side
 
 
-def _dec_coeff(pair):
-    """Decimal value of an exact (prefactor, radicand) pair, pref*sqrt(rad)."""
-    pref, rad = pair
+def _dec_coeff(pref, rad=1):
+    """Decimal value of pref*sqrt(rad) for exact rationals pref and rad."""
     if pref == 0 or rad == 0:
         return Decimal(0)
     root = (Decimal(rad.numerator) / Decimal(rad.denominator)).sqrt()
     return Decimal(pref.numerator) / Decimal(pref.denominator) * root
 
 
-def screen_by_2d(params: ScreenParams, seed=None):
+def _decimal_rows(rows):
+    """Decimal [p_minus, diagonal, p_plus] from exact rows with p_minus and
+    p_plus squared."""
+    p_minus_sq, diag, p_plus_sq = rows
+    return ([_dec_coeff(1, r) for r in p_minus_sq], [_dec_coeff(v) for v in diag],
+            [_dec_coeff(1, r) for r in p_plus_sq])
+
+
+def screen_by_2d(params: ScreenParams):
     """Screen from the five-term cross recursion, seeded with two rows.
 
     The stencil links three x-neighbors at row y to three y-neighbors at
     column x; rows y_min and y_min+1 determine the rest.  The pointwise
     sweep amplifies round-off exponentially across forbidden regions, so
     the propagation runs in Decimal arithmetic with side-proportional guard
-    digits.  The default seed rows are the exact oracle values and the
-    coefficients enter as exact rationals and square roots, both rounded
-    only to the working precision.  The (-1)^(2x), (-1)^(2y) phases are
-    lattice constants and are applied exactly.  A vanishing pivot (the
-    coefficient of the row being solved for) raises ZeroPivot.
-
-    seed: optional pair of float rows (y_min, y_min+1); float seeds limit
-    the attainable accuracy to float propagation error.
+    digits.  The seed rows are the exact oracle values and the coefficients
+    are the exact rationals and square roots of _cross_rows, both rounded
+    only to the working precision.  A vanishing pivot (p_plus of the row
+    being solved for) raises ZeroPivot, a null row ConvergenceFailure.
     """
     n = params.side
     diagnostics = {"seed_method": "exact",
@@ -295,54 +316,36 @@ def screen_by_2d(params: ScreenParams, seed=None):
                           Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
     with decimal.localcontext(ctx):
         work = [[Decimal(0)] * n for _ in range(n)]  # work[iy][ix]
-        if seed is None:
-            for j in range(min(n, 2)):
-                two_y = params.two_y_min + 2 * j
-                exact_row = (exact.u_exact(int(tx), two_y, params)
-                             for tx in params.x_lattice())
-                work[j] = [_dec_coeff((v.q, v.p)) for v in exact_row]
-        else:
-            diagnostics["seed_method"] = "caller"
-            work[0] = [Decimal(v) for v in np.asarray(seed[0], dtype=float)]
-            if n > 1:
-                work[1] = [Decimal(v) for v in np.asarray(seed[1], dtype=float)]
-        if n > 1:
-            for j in (0, 1):
-                norm = float(sum(float(v) ** 2 for v in work[j]))
-                if abs(norm - 1.0) > 1e-8:
-                    raise SeedMismatch("seed row %d is not normalized" % j)
-            dot = float(sum(float(a) * float(b)
-                            for a, b in zip(work[0], work[1])))
-            if abs(dot) > 1e-8:
-                raise SeedMismatch("seed rows are not orthogonal")
-            cx_e, cy_e = _cross_coeffs_exact(params)
-            cx = [[_dec_coeff(pair) for pair in row] for row in cx_e]
-            cy = [[_dec_coeff(pair) for pair in row] for row in cy_e]
-            phase = Decimal((-1) ** (params.two_x_min + params.two_y_min))
-            for j in range(1, n - 1):
-                u = work[j]
-                prev = work[j - 1]
-                pivot = cy[2][j]
-                if pivot == 0:
-                    raise ZeroPivot("cross recursion pivot vanishes at two_y=%d"
-                                    % (params.two_y_min + 2 * j))
-                nxt = work[j + 1]
-                cym, cy0 = cy[0][j], cy[1][j]
-                cxm, cx0, cxp = cx
-                for i in range(n):
-                    acc = cx0[i] * u[i]
-                    if i > 0:
-                        acc += cxm[i] * u[i - 1]
-                    if i < n - 1:
-                        acc += cxp[i] * u[i + 1]
-                    nxt[i] = (phase * acc - cym * prev[i] - cy0 * u[i]) / pivot
+        for j in range(min(n, 2)):
+            two_y = params.two_y_min + 2 * j
+            exact_row = (exact.u_exact(int(tx), two_y, params)
+                         for tx in params.x_lattice())
+            work[j] = [_dec_coeff(v.q, v.p) for v in exact_row]
+        cx, cy = (_decimal_rows(rows) for rows in _cross_rows_exact(params))
+        cxm, cx0, cxp = cx
+        for j in range(1, n - 1):
+            u = work[j]
+            prev = work[j - 1]
+            pivot = cy[2][j]
+            if pivot == 0:
+                raise ZeroPivot("cross recursion pivot vanishes at two_y=%d"
+                                % (params.two_y_min + 2 * j))
+            nxt = work[j + 1]
+            cym, cy0 = cy[0][j], cy[1][j]
+            for i in range(n):
+                acc = cx0[i] * u[i]
+                if i > 0:
+                    acc += cxm[i] * u[i - 1]
+                if i < n - 1:
+                    acc += cxp[i] * u[i + 1]
+                nxt[i] = (acc - cym * prev[i] - cy0 * u[i]) / pivot
         # row norms in Decimal, conversion to float afterwards
         values = np.zeros((n, n))
         raw_norms = np.empty(n)
         for j in range(n):
             norm = ctx.sqrt(sum(v * v for v in work[j]))
             if norm == 0:
-                raise MatchFailure("2D propagation produced a null row")
+                raise ConvergenceFailure("2D propagation produced a null row")
             raw_norms[j] = float(norm)
             values[:, j] = [float(v / norm) for v in work[j]]
     diagnostics["renorm_drift_max"] = float(np.max(np.abs(raw_norms - 1.0)))
@@ -357,7 +360,6 @@ def _cross_residual_max(params: ScreenParams, values):
     if n < 3:
         return 0.0
     cx, cy = _cross_coeffs(params)
-    phase = (-1.0) ** (params.two_x_min + params.two_y_min)
     worst = 0.0
     for j in range(1, n - 1):
         u = values[:, j]
@@ -365,7 +367,7 @@ def _cross_residual_max(params: ScreenParams, values):
         lhs[:-1] += cx[2, :-1] * u[1:]
         lhs[1:] += cx[0, 1:] * u[:-1]
         rhs = cy[0, j] * values[:, j - 1] + cy[1, j] * u + cy[2, j] * values[:, j + 1]
-        worst = max(worst, float(np.max(np.abs(phase * lhs - rhs))))
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 
 

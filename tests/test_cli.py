@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import spinscreen as ss
 from spinscreen import exports
@@ -190,6 +191,16 @@ def test_ninej_check_reduce():
                  "--two-d", "10")
     assert cp.returncode == 0, cp.stderr
     assert "ninej-reduction" in cp.stdout
+
+
+@pytest.mark.parametrize("quad", [(-2, 90, 120, 110), (1, 2, 2, 2),
+                                  (60, 2, 2, 2)])
+def test_ninej_check_reduce_invalid_params(quad):
+    args = [str(t) for t in quad]
+    cp = run_cli("ninej-check", "--count", "5", "--reduce", "--two-a", args[0],
+                 "--two-b", args[1], "--two-c", args[2], "--two-d", args[3])
+    assert cp.returncode == 2, cp.stderr
+    assert "invalid parameters" in cp.stderr
 
 
 def test_ninej_check_empty_filter():

@@ -214,18 +214,6 @@ def test_sixj_unit_pattern_error():
         ss.sixj_unit(4, 4, 4, 4, 4, 4)
 
 
-def test_sixj_unit_float_path():
-    rng = random.Random(23)
-    for _ in range(100):
-        ta = rng.randint(0, 14)
-        tb = rng.randint(0, 14)
-        tx = rng.choice(range(abs(ta - tb), ta + tb + 1, 2))
-        args = (tb, tx, ta, 2, ta, tx)
-        exact_val = ss.sixj_unit(*args).to_real()
-        fast = ss.sixj_unit_float(*args)
-        assert fast == pytest.approx(exact_val, rel=1e-14, abs=1e-300)
-
-
 def test_sqrt_rational_normal_form():
     v = SqrtRational(Fraction(1, 2), Fraction(8, 9))
     assert v.q == Fraction(1, 3) and v.p == 2

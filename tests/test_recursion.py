@@ -1,6 +1,6 @@
 import itertools
+import math
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -277,16 +277,70 @@ def test_screen_2d_matches_oracle(ref_params, ref_oracle):
 
 
 def test_screen_2d_zero_pivot_raises(monkeypatch):
-    exact_coeffs = recursion._cross_coeffs_exact
+    exact_rows = recursion._cross_rows_exact
 
     def zero_pivot(params):
-        cx, cy = exact_coeffs(params)
-        cy[2][1] = (Fraction(0), Fraction(0))
+        cx, cy = exact_rows(params)
+        cy[2][1] = 0  # p_plus squared along y at row 1
         return cx, cy
 
-    monkeypatch.setattr(recursion, "_cross_coeffs_exact", zero_pivot)
+    monkeypatch.setattr(recursion, "_cross_rows_exact", zero_pivot)
     with pytest.raises(ss.ZeroPivot):
         ss.screen_by_2d(ss.screen_ranges(8, 10, 12, 10))
+
+
+def test_screen_2d_null_row_raises_convergence_failure(monkeypatch):
+    monkeypatch.setattr(ss.exact, "u_exact",
+                        lambda two_x, two_y, params: ss.SqrtRational.zero())
+    with pytest.raises(ss.ConvergenceFailure):
+        ss.screen_by_2d(ss.screen_ranges(8, 10, 12, 10))
+
+
+def _unit_pair_reference(params):
+    """sqrt((2t+1)(2t'+1)) times the unit 6j pairs of the five-term
+    recursion, t' = t-1, t, t+1, from the exact closed forms:
+    {b t' a; 1 a t} {d t' c; 1 c t} along x and {b t' c; 1 c t}
+    {d t' a; 1 a t} along y."""
+    ta, tb, tc, td = params.as_tuple()
+
+    def rows(lattice, tp, tq, tr, ts):
+        out = np.zeros((3, len(lattice)))
+        for k, dt in enumerate((-2, 0, 2)):
+            for i, t in enumerate(int(v) for v in lattice):
+                pair = (ss.sixj_unit(tp, t + dt, tq, 2, tq, t)
+                        * ss.sixj_unit(tr, t + dt, ts, 2, ts, t))
+                if not pair.is_zero():
+                    out[k, i] = pair.to_real() * math.sqrt((t + 1) * (t + dt + 1))
+        return out
+
+    return (rows(params.x_lattice(), tb, ta, td, tc),
+            rows(params.y_lattice(), tb, tc, td, ta))
+
+
+def test_cross_coeffs_match_unit_sixj_products():
+    quads = [q for q in itertools.product(range(9), repeat=4)
+             if sum(q) % 2 == 0]
+    quads += [(60, 90, 120, 110), (96, 43, 107, 50)]
+    checked = 0
+    for quad in quads:
+        try:
+            p = ss.screen_ranges(*quad)
+        except ss.EmptyScreen:
+            continue
+        if p.side < 2:
+            continue
+        cx, cy = recursion._cross_coeffs(p)
+        ref_x, ref_y = _unit_pair_reference(p)
+        # one sign per axis, read at p_plus(t_min), which is nonzero
+        s_x = np.sign(ref_x[2, 0] * cx[2, 0])
+        s_y = np.sign(ref_y[2, 0] * cy[2, 0])
+        for coeffs, ref, sign in ((cx, ref_x, s_x), (cy, ref_y, s_y)):
+            err = np.max(np.abs(sign * coeffs - ref))
+            assert err <= 1e-14 * np.max(np.abs(ref)), (quad, err)
+        # no phase between the two sides: x-side = y-side
+        assert s_x * (-1) ** (p.two_x_min + p.two_y_min) == s_y, quad
+        checked += 1
+    assert checked == 1730
 
 
 def test_screen_2d_half_integer_params():
@@ -297,31 +351,11 @@ def test_screen_2d_half_integer_params():
 
 
 def test_screen_2d_odd_x_lattice():
-    # half-integer x lattice exercises the (-1)^(2x) phases
     p = ss.screen_ranges(1, 2, 2, 1)
     assert p.two_x_min % 2 == 1
     oracle = ss.screen_oracle(p)
     screen = ss.screen_by_2d(p)
     assert np.max(np.abs(screen.values - oracle.values)) < 1e-12
-
-
-def test_screen_2d_caller_seed(ref_params, ref_oracle):
-    # float seeds carry ~1e-16 error that the recurrence amplifies per row,
-    # so only the rows near the seeds stay at full accuracy
-    seed = (ref_oracle.values[:, 0].copy(), ref_oracle.values[:, 1].copy())
-    screen = ss.screen_by_2d(ref_params, seed=seed)
-    assert screen.diagnostics["seed_method"] == "caller"
-    near = np.max(np.abs(screen.values[:, :10] - ref_oracle.values[:, :10]))
-    assert near < 1e-9
-
-
-def test_screen_2d_seed_mismatch(ref_params):
-    n = ref_params.side
-    bad = np.full(n, 1.0 / np.sqrt(n))
-    with pytest.raises(ss.SeedMismatch):
-        ss.screen_by_2d(ref_params, seed=(2.0 * bad, bad))
-    with pytest.raises(ss.SeedMismatch):
-        ss.screen_by_2d(ref_params, seed=(bad, bad))
 
 
 def test_methods_cross_agreement_small_screens():
