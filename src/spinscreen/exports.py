@@ -1,8 +1,10 @@
 """Deterministic plot-ready exporters: CSV grids and JSON curve files.
 
 Doubles are written with 17 significant digits so re-reading reproduces the
-in-memory values exactly; no file carries timestamps or other run-varying
-content.
+in-memory values exactly; non-finite values are written as nan.  No file
+carries timestamps or other run-varying content.  CSV tables are formatted
+and written one y row at a time; JSON grids are formatted one row at a time,
+with no whole-grid copy of the numbers.
 """
 
 import json
@@ -10,14 +12,23 @@ import json
 import numpy as np
 
 from . import __version__
+from .geometry import edge_length
 from .screen import Screen
 from .spins import ScreenParams
 
 
-def _fmt(v):
-    if not np.isfinite(v):
-        return "nan"
-    return format(float(v), ".17g")
+def _finite(values):
+    """The values with every non-finite entry replaced by nan."""
+    return np.where(np.isfinite(values), values, np.nan)
+
+
+def _text(grid):
+    """The rows of a 2-D grid as lists of %.17g strings, one row at a time."""
+    return [list(map("%.17g".__mod__, _finite(row).tolist())) for row in grid]
+
+
+def _pairs(xs, ys):
+    return _text(np.column_stack([xs, ys]))
 
 
 def _meta(params: ScreenParams, method=None):
@@ -34,36 +45,49 @@ def _meta(params: ScreenParams, method=None):
     return meta
 
 
-def write_screen_csv(screen: Screen, path):
-    """Comment header `# key=value`, then two_x,two_y,u rows, y-major."""
-    params = screen.params
+def _write_table(path, params: ScreenParams, meta, columns):
+    """`# key=value` lines, a header, then two_x,two_y,<columns> rows, y-major.
+
+    `columns` maps each column name to a lattice grid indexed [ix, iy].
+    """
+    row_format = "%d,%d" + ",%.17g" * len(columns) + "\n"
+    two_x = params.x_lattice().tolist()
     with open(path, "w") as fh:
-        for key, val in _meta(params, screen.method).items():
-            fh.write("# %s=%s\n" % (key, val))
-        fh.write("two_x,two_y,u\n")
-        for iy, ty in enumerate(params.y_lattice()):
-            for ix, tx in enumerate(params.x_lattice()):
-                fh.write("%d,%d,%s\n" % (tx, ty, _fmt(screen.values[ix, iy])))
+        fh.writelines("# %s=%s\n" % item for item in meta.items())
+        fh.write(",".join(["two_x", "two_y", *columns]) + "\n")
+        for iy, ty in enumerate(params.y_lattice().tolist()):
+            cells = [_finite(grid[:, iy]).tolist() for grid in columns.values()]
+            fh.writelines(map(row_format.__mod__,
+                              zip(two_x, [ty] * len(two_x), *cells)))
 
 
-def write_screen_json(screen: Screen, path):
-    params = screen.params
-    payload = {
-        "metadata": _meta(params, screen.method),
-        "two_x": [int(t) for t in params.x_lattice()],
-        "two_y": [int(t) for t in params.y_lattice()],
-        # u[iy][ix], same y-major order as the CSV
-        "u": [[_fmt(screen.values[ix, iy])
-               for ix in range(params.side)] for iy in range(params.side)],
-    }
+def _write_json(payload, path):
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
+def write_screen_csv(screen: Screen, path):
+    """Comment header `# key=value`, then two_x,two_y,u rows, y-major."""
+    _write_table(path, screen.params, _meta(screen.params, screen.method),
+                 {"u": screen.values})
+
+
+def write_screen_json(screen: Screen, path):
+    params = screen.params
+    _write_json({
+        "metadata": _meta(params, screen.method),
+        "two_x": params.x_lattice().tolist(),
+        "two_y": params.y_lattice().tolist(),
+        # u[iy][ix], same y-major order as the CSV
+        "u": _text(screen.values.T),
+    }, path)
+
+
 def read_screen(path):
     """Re-read an exported screen (CSV or JSON) into a Screen."""
-    text = open(path).read()
+    with open(path) as fh:
+        text = fh.read()
     if text.lstrip().startswith("{"):
         payload = json.loads(text)
         meta = payload["metadata"]
@@ -71,102 +95,64 @@ def read_screen(path):
                               meta["two_c"], meta["two_d"])
         values = np.array(payload["u"], dtype=float).T
         return Screen(params=params, values=values, method=meta["method"])
-    meta = {}
-    triplets = []
-    for line in text.splitlines():
-        if line.startswith("#"):
-            key, _, val = line[1:].strip().partition("=")
-            meta[key] = val
-        elif line and not line.startswith("two_x"):
-            tx, ty, u = line.split(",")
-            triplets.append((int(tx), int(ty), float(u)))
+    lines = text.splitlines()
+    head = [line for line in lines if line.startswith("#")]
+    meta = dict(line[1:].strip().partition("=")[::2] for line in head)
     params = ScreenParams(int(meta["two_a"]), int(meta["two_b"]),
                           int(meta["two_c"]), int(meta["two_d"]))
+    # the header line follows the comments
+    tx, ty, u = np.loadtxt(lines[len(head) + 1:], delimiter=",", ndmin=2).T
     values = np.empty((params.side, params.side))
-    for tx, ty, u in triplets:
-        values[params.x_index(tx), params.y_index(ty)] = u
+    values[params.x_index(tx.astype(int)), params.y_index(ty.astype(int))] = u
     return Screen(params=params, values=values, method=meta.get("method", "?"))
-
-
-def _pairs(xs, ys):
-    return [[_fmt(x), _fmt(y)] for x, y in zip(xs, ys)]
 
 
 def write_caustics_json(caustics, path):
     """Caustic branches as [X, Y] pairs in shifted geometric coordinates."""
-    payload = {
+    _write_json({
         "metadata": dict(_meta(caustics.params), coordinates="shifted"),
         "caustic_lower": _pairs(caustics.x_samples, caustics.y_caustic_lower),
         "caustic_upper": _pairs(caustics.x_samples, caustics.y_caustic_upper),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    }, path)
 
 
 def write_ridges_json(caustics, path):
-    payload = {
+    _write_json({
         "metadata": dict(_meta(caustics.params), coordinates="shifted"),
         "ridge_y_of_x": _pairs(caustics.x_samples, caustics.y_ridge),
         "ridge_x_of_y": _pairs(caustics.x_ridge, caustics.y_samples),
         "v_max": _pairs(caustics.x_samples, caustics.v_max),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    }, path)
 
 
 def write_potentials_json(pot_arith, pot_geom, path):
     """Both potential curves for both mean conventions, [X, W] pairs."""
-    X = (pot_arith.x_lattice + 1) / 2.0
-    payload = {
+    X = edge_length(pot_arith.x_lattice)
+    _write_json({
         "metadata": dict(_meta(pot_arith.params), coordinates="shifted"),
         "w_plus_arithmetic": _pairs(X, pot_arith.w_plus),
         "w_minus_arithmetic": _pairs(X, pot_arith.w_minus),
         "w_plus_geometric": _pairs(X, pot_geom.w_plus),
         "w_minus_geometric": _pairs(X, pot_geom.w_minus),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    }, path)
 
 
 def write_field_csv(params: ScreenParams, grid, column, path):
     """A lattice-indexed scalar field as two_x,two_y,<column> rows."""
-    with open(path, "w") as fh:
-        for key, val in _meta(params).items():
-            fh.write("# %s=%s\n" % (key, val))
-        fh.write("two_x,two_y,%s\n" % column)
-        for iy, ty in enumerate(params.y_lattice()):
-            for ix, tx in enumerate(params.x_lattice()):
-                fh.write("%d,%d,%s\n" % (tx, ty, _fmt(grid[ix, iy])))
+    _write_table(path, params, _meta(params), {column: grid})
 
 
 def write_field_json(params: ScreenParams, grid, column, path):
     """A lattice-indexed scalar field as {column: [iy][ix]}, y-major."""
-    payload = {"metadata": _meta(params),
-               column: [[_fmt(v) for v in row] for row in grid.T]}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json({"metadata": _meta(params), column: _text(grid.T)}, path)
 
 
 def write_pr_compare_csv(comparison, path):
     """Pointwise semiclassical comparison table."""
     params = comparison.params
-    with open(path, "w") as fh:
-        for key, val in _meta(params).items():
-            fh.write("# %s=%s\n" % (key, val))
-        for key, val in sorted(comparison.summary.items()):
-            fh.write("# %s=%s\n" % (key, val))
-        fh.write("two_x,two_y,classical,pr_estimate,reference,abs_error,"
-                 "rel_error,cos_theta3\n")
-        for iy, ty in enumerate(params.y_lattice()):
-            for ix, tx in enumerate(params.x_lattice()):
-                fh.write("%d,%d,%d,%s,%s,%s,%s,%s\n" % (
-                    tx, ty, int(comparison.classical[ix, iy]),
-                    _fmt(comparison.estimate[ix, iy]),
-                    _fmt(comparison.reference[ix, iy]),
-                    _fmt(comparison.abs_error[ix, iy]),
-                    _fmt(comparison.rel_error[ix, iy]),
-                    _fmt(comparison.cos_theta3[ix, iy])))
+    meta = _meta(params)
+    meta.update(sorted(comparison.summary.items()))
+    _write_table(path, params, meta, {
+        "classical": comparison.classical, "pr_estimate": comparison.estimate,
+        "reference": comparison.reference, "abs_error": comparison.abs_error,
+        "rel_error": comparison.rel_error, "cos_theta3": comparison.cos_theta3})

@@ -202,8 +202,8 @@ def cos_theta3_grid(params: ScreenParams, xprime_mode="plain"):
     NaN where a face degenerates; magnitudes above 1 mark forbidden points.
     """
     A, B, C, D = (edge_length(t) for t in params.as_tuple())
-    X = (params.x_lattice() + 1) / 2.0
-    Y = (params.y_lattice() + 1) / 2.0
+    X = edge_length(params.x_lattice())
+    Y = edge_length(params.y_lattice())
     return _cos_theta3(A * A, B * B, C * C, D * D,
                        _xprime_sq(X, xprime_mode)[:, None], (Y * Y)[None, :])
 
@@ -211,8 +211,8 @@ def cos_theta3_grid(params: ScreenParams, xprime_mode="plain"):
 def volume_sq_grid(params: ScreenParams):
     """Vectorized squared volume over the whole lattice, shape (nx, ny)."""
     A, B, C, D = (edge_length(t) for t in params.as_tuple())
-    X = (params.x_lattice() + 1) / 2.0
-    Y = (params.y_lattice() + 1) / 2.0
+    X = edge_length(params.x_lattice())
+    Y = edge_length(params.y_lattice())
     A2, B2, C2, D2 = A * A, B * B, C * C, D * D
     X2 = X * X
     Y2 = Y * Y
@@ -313,7 +313,7 @@ def f_transform(u_row, params: ScreenParams, two_y):
     Points outside the geometric domain become NaN.
     """
     A, B, C, D = (edge_length(t) for t in params.as_tuple())
-    X = (params.x_lattice() + 1) / 2.0
+    X = edge_length(params.x_lattice())
     f1sq = _area_sq(X * X, A * A, B * B)
     f2sq = _area_sq(X * X, C * C, D * D)
     good = (f1sq > 0) & (f2sq > 0)

@@ -309,11 +309,24 @@ def screen_by_2d(params: ScreenParams):
     only to the working precision.  A vanishing pivot (p_plus of the row
     being solved for) raises ZeroPivot, a null row ConvergenceFailure.
     """
-    n = params.side
     diagnostics = {"seed_method": "exact",
                    "precision_digits": _decimal_digits(params)}
-    ctx = decimal.Context(prec=diagnostics["precision_digits"],
-                          Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    values, raw_norms = _propagate_2d(params, diagnostics["precision_digits"])
+    diagnostics["renorm_drift_max"] = float(np.max(np.abs(raw_norms - 1.0)))
+    diagnostics["residual_cross_max"] = _cross_residual_max(params, values)
+    return Screen(params=params, values=values, method="recur2d",
+                  diagnostics=diagnostics)
+
+
+def _propagate_2d(params: ScreenParams, digits):
+    """Unit-norm float rows of the Decimal sweep, and the rows' raw norms.
+
+    The Decimal grid is freed on return, before the float residual's
+    temporaries are allocated.
+    """
+    n = params.side
+    ctx = decimal.Context(prec=digits, Emax=decimal.MAX_EMAX,
+                          Emin=decimal.MIN_EMIN)
     with decimal.localcontext(ctx):
         work = [[Decimal(0)] * n for _ in range(n)]  # work[iy][ix]
         for j in range(min(n, 2)):
@@ -348,10 +361,7 @@ def screen_by_2d(params: ScreenParams):
                 raise ConvergenceFailure("2D propagation produced a null row")
             raw_norms[j] = float(norm)
             values[:, j] = [float(v / norm) for v in work[j]]
-    diagnostics["renorm_drift_max"] = float(np.max(np.abs(raw_norms - 1.0)))
-    diagnostics["residual_cross_max"] = _cross_residual_max(params, values)
-    return Screen(params=params, values=values, method="recur2d",
-                  diagnostics=diagnostics)
+    return values, raw_norms
 
 
 def _cross_residual_max(params: ScreenParams, values):
@@ -360,15 +370,15 @@ def _cross_residual_max(params: ScreenParams, values):
     if n < 3:
         return 0.0
     cx, cy = _cross_coeffs(params)
-    worst = 0.0
-    for j in range(1, n - 1):
-        u = values[:, j]
-        lhs = cx[1] * u
-        lhs[:-1] += cx[2, :-1] * u[1:]
-        lhs[1:] += cx[0, 1:] * u[:-1]
-        rhs = cy[0, j] * values[:, j - 1] + cy[1, j] * u + cy[2, j] * values[:, j + 1]
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+    u = values[:, 1:-1]
+    lhs = cx[1][:, None] * u
+    lhs[:-1] += cx[2, :-1, None] * u[1:]
+    lhs[1:] += cx[0, 1:, None] * u[:-1]
+    rhs = cy[0, 1:-1] * values[:, :-2]
+    rhs += cy[1, 1:-1] * u
+    rhs += cy[2, 1:-1] * values[:, 2:]
+    lhs -= rhs
+    return float(np.max(np.abs(lhs, out=lhs)))
 
 
 # every screen builder by method name, shared by the CLI, verify and the tests

@@ -43,7 +43,7 @@ def bohr_sommerfeld(two_y, params: ScreenParams):
         raise OutOfRange("two_y=%d is not a lattice row" % two_y)
     iy = params.y_index(two_y)
     c3 = geometry.cos_theta3_grid(params, "plain")[:, iy]
-    xs = (params.x_lattice() + 1) / 2.0
+    xs = edge_length(params.x_lattice())
     inside = np.isfinite(c3) & (np.abs(c3) <= 1.0)
     if not inside.any():
         raise NoClassicalWindow("row two_y=%d has no classical points" % two_y)
@@ -177,8 +177,8 @@ class PRComparison:
 def _pr_grid(params: ScreenParams):
     """Vectorized PR estimate of the plain 6j over the classical region."""
     A, B, C, D = (edge_length(t) for t in params.as_tuple())
-    X = (params.x_lattice() + 1) / 2.0
-    Y = (params.y_lattice() + 1) / 2.0
+    X = edge_length(params.x_lattice())
+    Y = edge_length(params.y_lattice())
     v2 = geometry.volume_sq_grid(params)
     classical = v2 > 0
     v = np.sqrt(np.where(classical, v2, np.nan))

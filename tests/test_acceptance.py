@@ -221,17 +221,19 @@ def test_criterion_10_ninej_recurrence(ref_params):
 def test_criterion_11_determinism(tmp_path):
     outs = []
     for run in ("one", "two"):
-        outdir = tmp_path / run
-        cp = subprocess.run(
-            [sys.executable, "-m", "spinscreen", "compute",
-             "--two-a", "6", "--two-b", "8", "--two-c", "10", "--two-d", "8",
-             "--output", "screen,caustics,ridges,potentials",
-             "--outdir", str(outdir)],
-            capture_output=True, text=True)
-        assert cp.returncode == 0, cp.stderr
-        outs.append(outdir)
-    names = sorted(p.name for p in outs[0].iterdir())
-    assert names
+        for fmt in ("csv", "json"):
+            outdir = tmp_path / run / fmt
+            cp = subprocess.run(
+                [sys.executable, "-m", "spinscreen", "compute",
+                 "--two-a", "6", "--two-b", "8", "--two-c", "10", "--two-d", "8",
+                 "--output", "screen,caustics,ridges,potentials,cos-theta3,"
+                 "pr-compare", "--format", fmt, "--outdir", str(outdir)],
+                capture_output=True, text=True)
+            assert cp.returncode == 0, cp.stderr
+        outs.append(tmp_path / run)
+    names = sorted(str(p.relative_to(outs[0])) for p in outs[0].rglob("*.*"))
+    # six outputs in each format
+    assert len(names) == 12
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
     report("11 PASS determinism: %d files bit-identical across runs"

@@ -193,6 +193,15 @@ def test_ninej_check_reduce():
     assert "ninej-reduction" in cp.stdout
 
 
+def test_ninej_check_reduce_without_interior_fails():
+    # side 2: no interior point, so no stencil can be checked
+    cp = run_cli("ninej-check", "--count", "5", "--reduce", "--two-a", "1",
+                 "--two-b", "1", "--two-c", "2", "--two-d", "2")
+    assert cp.returncode == 1, cp.stderr
+    line = next(l for l in cp.stdout.splitlines() if "ninej-reduction" in l)
+    assert "FAIL" in line and "0 stencils checked" in line
+
+
 @pytest.mark.parametrize("quad", [(-2, 90, 120, 110), (1, 2, 2, 2),
                                   (60, 2, 2, 2)])
 def test_ninej_check_reduce_invalid_params(quad):
