@@ -13,11 +13,11 @@ import numpy as np
 import scipy.linalg
 
 from . import exact
-from .errors import ConvergenceFailure, ZeroPivot
+from .errors import ConvergenceFailure, OutOfRange, ZeroPivot
 from .screen import Screen
 from .spins import ScreenParams
 
-# inverse iteration: banded solves per row, start-vector seed, relative shift
+# inverse iteration: solves per row, start-vector seed, relative shift
 _SOLVES = 3
 _START_SEED = 0
 _SHIFT_NUDGE = 1e-13
@@ -73,6 +73,25 @@ def _stretched_sign(params: ScreenParams):
     return (-1) ** ((params.two_a + params.two_b + params.two_c + params.two_d) // 2)
 
 
+def _shifted_lu(coeffs: TridiagCoeffs, start, shift, what):
+    """dgttrf's factors (dl, d, du, du2, ipiv) of T[start:, start:] - shift.
+
+    T is the symmetric tridiagonal matrix of the three-term recursion.  The
+    block is padded with a decoupled 2x2 identity, which keeps its
+    determinant and meets the wrapper's minimum order of 3; a right-hand
+    side for dgttrs carries two zero entries to match.  A zero pivot raises
+    ConvergenceFailure, whose message begins with what.
+    """
+    off = np.concatenate((coeffs.p_plus[start:-1], (0.0, 0.0)))
+    diag = np.concatenate((coeffs.w[start:] - shift, (1.0, 1.0)))
+    *factors, info = scipy.linalg.lapack.dgttrf(off, diag, off)
+    if info > 0:
+        raise ConvergenceFailure("%s: T[%d:, %d:] - %r is singular (order %d)"
+                                 % (what, start, start, shift,
+                                    len(coeffs.w) - start))
+    return factors
+
+
 def _anchor_sign(coeffs: TridiagCoeffs, lam_y, vec):
     """+1 or -1: the factor that gives vec the stretched-boundary sign.
 
@@ -87,14 +106,8 @@ def _anchor_sign(coeffs: TridiagCoeffs, lam_y, vec):
     m = len(vec) - 1 - istar
     parity = m
     if m > 0:
-        # a decoupled 2x2 identity keeps the determinant and meets the
-        # wrapper's minimum order of 3
-        off = np.concatenate((coeffs.p_plus[istar + 1:-1], (0.0, 0.0)))
-        diag = np.concatenate((coeffs.w[istar + 1:] - lam_y, (1.0, 1.0)))
-        _, u_diag, _, _, ipiv, info = scipy.linalg.lapack.dgttrf(off, diag, off)
-        if info > 0:
-            raise ConvergenceFailure(
-                "trailing block singular at lambda=%r (order %d)" % (lam_y, m))
+        _, u_diag, _, _, ipiv = _shifted_lu(coeffs, istar + 1, lam_y,
+                                            "trailing block")
         parity += (np.count_nonzero(u_diag < 0)
                    + np.count_nonzero(ipiv != np.arange(1, m + 3)))
     sign = _stretched_sign(coeffs.params) * (-1) ** int(parity)
@@ -171,33 +184,30 @@ def _inverse_iteration(coeffs: TridiagCoeffs, iy):
     n = len(coeffs.w)
     lam_y = coeffs.lam[iy]
     shift = lam_y + _SHIFT_NUDGE * max(1.0, float(np.max(np.abs(coeffs.lam))))
-    band = np.zeros((3, n))
-    band[0, 1:] = coeffs.p_plus[:-1]
-    band[1] = coeffs.w - shift
-    band[2, :-1] = coeffs.p_plus[:-1]
-    row = np.random.default_rng(_START_SEED).standard_normal(n)
-    try:
-        for _ in range(_SOLVES):
-            row = scipy.linalg.solve_banded((1, 1), band, row)
-            row /= np.linalg.norm(row)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as err:
-        two_y = int(coeffs.params.y_lattice()[iy])
-        raise ConvergenceFailure("two_y=%d: %s" % (two_y, err)) from err
-    return row
+    factors = _shifted_lu(coeffs, 0, shift,
+                          "two_y=%d" % (coeffs.params.two_y_min + 2 * iy))
+    row = np.zeros(n + 2)
+    row[:n] = np.random.default_rng(_START_SEED).standard_normal(n)
+    for _ in range(_SOLVES):
+        row = scipy.linalg.lapack.dgttrs(*factors, row)[0]
+        row /= np.linalg.norm(row[:n])
+    return row[:n]
 
 
-def row_by_threeterm(two_y, params: ScreenParams, coeffs: TridiagCoeffs = None):
+def row_by_threeterm(two_y, params: ScreenParams):
     """One row of U by inverse iteration at the closed-form lambda(y).
 
-    The tridiagonal matrix shifted by lambda(y) is solved _SOLVES times from a
-    fixed seeded start vector (LAPACK banded solves, O(n) each).  The shift is
-    nudged off lambda(y) by _SHIFT_NUDGE times the spectral scale: integer
-    coefficients otherwise make the shifted matrix exactly singular.  The
-    result has unit sum of squares and the eigensolver's stretched-boundary
-    sign.
+    The tridiagonal matrix shifted by lambda(y) is factored once (one LAPACK
+    dgttrf) and solved _SOLVES times from a fixed seeded start vector (dgttrs,
+    O(n) each).  The shift is nudged off lambda(y) by _SHIFT_NUDGE times the
+    spectral scale: integer coefficients otherwise make the shifted matrix
+    exactly singular.  The result has unit sum of squares and the
+    eigensolver's stretched-boundary sign.  A two_y off the y lattice raises
+    OutOfRange.
     """
-    if coeffs is None:
-        coeffs = tridiag_coeffs(params)
+    if not params.contains(params.two_x_min, two_y):
+        raise OutOfRange("two_y=%d is not a lattice row" % two_y)
+    coeffs = tridiag_coeffs(params)
     iy = params.y_index(two_y)
     row = _inverse_iteration(coeffs, iy)
     return row * _anchor_sign(coeffs, coeffs.lam[iy], row)

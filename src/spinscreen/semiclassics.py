@@ -38,8 +38,7 @@ def bohr_sommerfeld(two_y, params: ScreenParams):
     interpolation of cos(theta3) to the fractional turning points; the loop
     doubles the one-way integral and action = (n + 1/2) pi defines n.
     """
-    if not (params.two_y_min <= two_y <= params.two_y_max
-            and (two_y - params.two_y_min) % 2 == 0):
+    if not params.contains(params.two_x_min, two_y):
         raise OutOfRange("two_y=%d is not a lattice row" % two_y)
     iy = params.y_index(two_y)
     c3 = geometry.cos_theta3_grid(params, "plain")[:, iy]

@@ -225,6 +225,63 @@ def test_threeterm_residual(ref_params):
         assert np.max(np.abs(res)) <= 1e-9 * np.max(np.abs(row))
 
 
+def _banded_row(coeffs, iy):
+    """Row iy from three scipy.linalg.solve_banded calls, each factoring
+    T - shift again: the solves the single LU replaces, kept as a reference
+    the rows must match bit for bit."""
+    n = len(coeffs.w)
+    shift = coeffs.lam[iy] + recursion._SHIFT_NUDGE * max(
+        1.0, float(np.max(np.abs(coeffs.lam))))
+    band = np.zeros((3, n))
+    band[0, 1:] = coeffs.p_plus[:-1]
+    band[1] = coeffs.w - shift
+    band[2, :-1] = coeffs.p_plus[:-1]
+    row = np.random.default_rng(recursion._START_SEED).standard_normal(n)
+    for _ in range(recursion._SOLVES):
+        row = scipy.linalg.solve_banded((1, 1), band, row)
+        row /= np.linalg.norm(row)
+    return row * recursion._anchor_sign(coeffs, coeffs.lam[iy], row)
+
+
+# the half-integer screens catch a norm taken over the padded right-hand
+# side, which sums in another order and moves rows by an ulp
+@pytest.mark.parametrize("quad, count", [
+    ((0, 0, 0, 0), None), ((1, 1, 1, 1), None), ((2, 2, 2, 2), None),
+    ((96, 43, 107, 50), None), ((255, 13, 221, 417), None),
+    ((492, 323, 189, 492), None), ((600, 900, 1200, 1100), 20)])
+def test_threeterm_rows_match_banded_solves(quad, count):
+    p = ss.screen_ranges(*quad)
+    coeffs = tridiag_coeffs(p)
+    iys = (range(p.side) if count is None
+           else np.linspace(0, p.side - 1, count).round().astype(int))
+    for iy in iys:
+        two_y = int(p.y_lattice()[iy])
+        assert np.array_equal(ss.row_by_threeterm(two_y, p),
+                              _banded_row(coeffs, iy)), (quad, two_y)
+
+
+@pytest.mark.parametrize("quad, two_y", [((3, 3, 3, 3), 0),
+                                         ((10, 10, 10, 10), 6)])
+def test_threeterm_singular_shift_raises(monkeypatch, quad, two_y):
+    # without the nudge, lambda(y) makes T - lambda exactly singular here
+    monkeypatch.setattr(recursion, "_SHIFT_NUDGE", 0.0)
+    with pytest.raises(ss.ConvergenceFailure, match="two_y=%d:" % two_y):
+        ss.row_by_threeterm(two_y, ss.screen_ranges(*quad))
+
+
+# two_y_min - 2, an odd two_y between rows and two_y_max + 2 of
+# (60,90,120,110): the first two wrapped to a wrong row, the last raised
+# IndexError
+@pytest.mark.parametrize("two_y", [48, 51, 172])
+@pytest.mark.parametrize("lookup", ["row_by_threeterm", "Screen.row", "Screen.u"])
+def test_rows_off_the_lattice_raise(ref_params, ref_eig, lookup, two_y):
+    calls = {"row_by_threeterm": lambda: ss.row_by_threeterm(two_y, ref_params),
+             "Screen.row": lambda: ref_eig.row(two_y),
+             "Screen.u": lambda: ref_eig.u(ref_params.two_x_min, two_y)}
+    with pytest.raises(ss.OutOfRange):
+        calls[lookup]()
+
+
 # screens where matching forward and backward sweeps at the mean of their
 # argmax indices put the match in a forbidden zone: hundreds of wrong rows
 @pytest.mark.parametrize("quad", [(600, 900, 1200, 1100), (960, 430, 1070, 500),
