@@ -11,7 +11,7 @@ import sys
 import time
 
 from . import __version__, exports, geometry, recursion, semiclassics, verify
-from .errors import EmptyScreen, SpinScreenError
+from .errors import ConvergenceFailure, EmptyScreen, SpinScreenError
 from .spins import ScreenParams
 
 _OUTPUTS = ("screen", "caustics", "ridges", "potentials", "cos-theta3",
@@ -50,20 +50,26 @@ def cmd_compute(args):
     params = _params_from(args)
     if params is None:
         return 2
+    needs_screen = "screen" in outputs or "pr-compare" in outputs
     if args.method == "oracle" and params.two_kappa > _ORACLE_KAPPA2_CAP \
-            and "screen" in outputs:
+            and needs_screen:
         print("oracle screens are limited to kappa2 <= %d (requested %d); "
               "use --method eigensolve" % (_ORACLE_KAPPA2_CAP, params.two_kappa),
               file=sys.stderr)
         return 2
+    t0 = time.perf_counter()
+    screen = None
+    if needs_screen:
+        screen = recursion.SCREEN_METHODS[args.method](params)
+        defect = screen.diagnostics.get("orthonormality_defect")
+        if defect is not None and not defect <= verify.ORTHONORMALITY_BOUND:
+            raise ConvergenceFailure(
+                "%s screen has orthonormality defect %.3e > %.0e"
+                % (args.method, defect, verify.ORTHONORMALITY_BOUND))
     outdir = args.outdir or os.environ.get("SPINSCREEN_OUTDIR", ".")
     os.makedirs(outdir, exist_ok=True)
     base = os.path.join(outdir, "spinscreen_a%d_b%d_c%d_d%d" % params.as_tuple())
     written = []
-    t0 = time.perf_counter()
-    screen = None
-    if "screen" in outputs or "pr-compare" in outputs:
-        screen = recursion.SCREEN_METHODS[args.method](params)
     if "screen" in outputs:
         path = "%s_%s_screen.%s" % (base, args.method, args.format)
         if args.format == "csv":

@@ -179,15 +179,23 @@ def residual_threeterm(screen: Screen, coeffs: TridiagCoeffs = None):
     return float(np.max(np.abs(res)))
 
 
-def _inverse_iteration(coeffs: TridiagCoeffs, iy):
-    """Row iy of U up to its sign, by inverse iteration (see row_by_threeterm)."""
+def _start_vector(n):
+    """The seeded start vector of inverse iteration, with the two zero
+    entries of _shifted_lu's padding; dgttrs leaves it unchanged."""
+    start = np.zeros(n + 2)
+    start[:n] = np.random.default_rng(_START_SEED).standard_normal(n)
+    return start
+
+
+def _inverse_iteration(coeffs: TridiagCoeffs, iy, start):
+    """Row iy of U up to its sign, by inverse iteration from
+    _start_vector's start (see row_by_threeterm)."""
     n = len(coeffs.w)
     lam_y = coeffs.lam[iy]
     shift = lam_y + _SHIFT_NUDGE * max(1.0, float(np.max(np.abs(coeffs.lam))))
     factors = _shifted_lu(coeffs, 0, shift,
                           "two_y=%d" % (coeffs.params.two_y_min + 2 * iy))
-    row = np.zeros(n + 2)
-    row[:n] = np.random.default_rng(_START_SEED).standard_normal(n)
+    row = start
     for _ in range(_SOLVES):
         row = scipy.linalg.lapack.dgttrs(*factors, row)[0]
         row /= np.linalg.norm(row[:n])
@@ -209,7 +217,7 @@ def row_by_threeterm(two_y, params: ScreenParams):
         raise OutOfRange("two_y=%d is not a lattice row" % two_y)
     coeffs = tridiag_coeffs(params)
     iy = params.y_index(two_y)
-    row = _inverse_iteration(coeffs, iy)
+    row = _inverse_iteration(coeffs, iy, _start_vector(params.side))
     return row * _anchor_sign(coeffs, coeffs.lam[iy], row)
 
 
@@ -219,7 +227,8 @@ def screen_by_threeterm(params: ScreenParams):
     laps = _Laps()
     coeffs = tridiag_coeffs(params)
     laps.lap("coeffs")
-    rows = [_inverse_iteration(coeffs, iy) for iy in range(params.side)]
+    start = _start_vector(params.side)
+    rows = [_inverse_iteration(coeffs, iy, start) for iy in range(params.side)]
     laps.lap("solve")
     values = np.column_stack([row * _anchor_sign(coeffs, lam_y, row)
                               for row, lam_y in zip(rows, coeffs.lam)])

@@ -1,5 +1,6 @@
 """Named invariant checks runnable from the library or the command line."""
 
+import functools
 import json
 import random
 from dataclasses import asdict, dataclass
@@ -11,6 +12,10 @@ from . import exact, geometry, ninej, recursion, spins
 from .errors import PatternError
 from .geometry import Tetrahedron
 from .spins import ScreenParams
+
+
+# the largest max |U^T U - I| of a screen that counts as orthonormal
+ORTHONORMALITY_BOUND = 1e-10
 
 
 @dataclass
@@ -47,26 +52,25 @@ def random_screen_point(rng, params):
     return tx, ty
 
 
-def check_spectrum(params, rng, n_random):
-    screen = recursion.screen_by_eigensolve(params)
-    return [_result("spectrum-match", screen.diagnostics["spectrum_rel_error"],
+def check_spectrum(params, rng, n_random, screen):
+    eig = screen("eigensolve", params)
+    return [_result("spectrum-match", eig.diagnostics["spectrum_rel_error"],
                     1e-8, "eigenvalues vs closed-form lambda(y)")]
 
 
-def check_orthonormality(params, rng, n_random):
-    screen = recursion.screen_by_eigensolve(params)
-    defect = screen.diagnostics["orthonormality_defect"]
-    return [_result("orthonormality", defect, 1e-10,
+def check_orthonormality(params, rng, n_random, screen):
+    defect = screen("eigensolve", params).diagnostics["orthonormality_defect"]
+    return [_result("orthonormality", defect, ORTHONORMALITY_BOUND,
                     "max |U^T U - I| for the eigensolver screen")]
 
 
-def check_cross_methods(params, rng, n_random):
-    eig = recursion.screen_by_eigensolve(params)
-    two_d = recursion.screen_by_2d(params)
+def check_cross_methods(params, rng, n_random, screen):
+    eig = screen("eigensolve", params)
+    two_d = screen("recur2d", params)
     out = [_result("cross-methods-eig-2d",
                    np.max(np.abs(eig.values - two_d.values)), 1e-8)]
     if params.two_kappa <= 280:
-        oracle = exact.screen_oracle(params)
+        oracle = screen("oracle", params)
         out.append(_result("cross-methods-oracle-eig",
                            np.max(np.abs(oracle.values - eig.values)), 1e-8))
         out.append(_result("cross-methods-oracle-2d",
@@ -74,15 +78,15 @@ def check_cross_methods(params, rng, n_random):
     return out
 
 
-def check_threeterm(params, rng, n_random):
-    eig = recursion.screen_by_eigensolve(params)
-    rows = recursion.screen_by_threeterm(params)
+def check_threeterm(params, rng, n_random, screen):
+    eig = screen("eigensolve", params)
+    rows = screen("threeterm", params)
     return [_result("threeterm-rows",
                     np.max(np.abs(rows.values - eig.values)), 1e-8,
                     "all %d rows vs eigensolver" % params.side)]
 
 
-def check_exact_symmetries(params, rng, n_random):
+def check_exact_symmetries(params, rng, n_random, screen):
     bad = 0
     for _ in range(n_random):
         p = random_screen_params(rng, two_j_max=24)
@@ -103,7 +107,7 @@ def check_exact_symmetries(params, rng, n_random):
                     "%d random argument sets" % n_random)]
 
 
-def check_unit_sixj(params, rng, n_random):
+def check_unit_sixj(params, rng, n_random, screen):
     bad = 0
     done = 0
     while done < n_random:
@@ -127,10 +131,10 @@ def check_unit_sixj(params, rng, n_random):
     return [_result("unit-sixj", bad, 0, "closed forms vs single-sum")]
 
 
-def check_regge_invariance(params, rng, n_random):
+def check_regge_invariance(params, rng, n_random, screen):
     conj = ScreenParams(*spins.regge_conjugate(*params.as_tuple()))
-    eig = recursion.screen_by_eigensolve(params)
-    eig_c = recursion.screen_by_eigensolve(conj)
+    eig = screen("eigensolve", params)
+    eig_c = screen("eigensolve", conj)
     worst = float(np.max(np.abs(eig.values - eig_c.values)))
     ca = geometry.ridges_and_caustics(params)
     cb = geometry.ridges_and_caustics(conj)
@@ -147,7 +151,7 @@ def check_regge_invariance(params, rng, n_random):
                     "U grid and geometric curves under parameter conjugation")]
 
 
-def check_geometry_identities(params, rng, n_random):
+def check_geometry_identities(params, rng, n_random, screen):
     worst_lambda = worst_gram = worst_root = worst_ridge = 0.0
     for _ in range(n_random):
         pts = np.array([[rng.uniform(-2, 2) for _ in range(3)] for _ in range(4)])
@@ -189,15 +193,15 @@ def check_geometry_identities(params, rng, n_random):
     ]
 
 
-def check_cross_identity(params, rng, n_random):
+def check_cross_identity(params, rng, n_random, screen):
     small = ScreenParams(8, 10, 12, 10)
-    oracle = exact.screen_oracle(small)
+    oracle = screen("oracle", small)
     res = recursion._cross_residual_max(small, oracle.values)
     return [_result("cross-identity", res, 1e-12,
                     "cross-recursion residual on exact values")]
 
 
-def check_golden(params, rng, n_random, golden_path=None):
+def check_golden(params, rng, n_random, screen, golden_path=None):
     if golden_path is None:
         ref = resources.files("spinscreen").joinpath("data/golden_reference.json")
         payload = json.loads(ref.read_text())
@@ -232,19 +236,29 @@ CHECKS = {
 
 def run_checks(names=None, params=None, n_random=200, seed=1234,
                golden_path=None):
-    """Run the selected named checks and return their results."""
+    """Run the selected named checks and return their results.
+
+    Each check is called as check(params, rng, n_random, screen), where
+    screen(method, p) is the screen of recursion.SCREEN_METHODS[method] at
+    p.  It is built on the first request of this call and shared by the
+    later ones, so the checks only read it."""
     if params is None:
         params = ScreenParams(60, 90, 120, 110)
     selected = list(CHECKS) if not names else [
         k for k in CHECKS if any(n in k for n in names)]
+    # builders are looked up at each first request, so a wrapped registry
+    # entry sees every build
+    screen = functools.cache(
+        lambda method, p: recursion.SCREEN_METHODS[method](p))
     results = []
     for name in selected:
         rng = random.Random(seed)
         fn = CHECKS[name]
         if name == "golden":
-            results.extend(fn(params, rng, n_random, golden_path=golden_path))
+            results.extend(fn(params, rng, n_random, screen,
+                              golden_path=golden_path))
         else:
-            results.extend(fn(params, rng, n_random))
+            results.extend(fn(params, rng, n_random, screen))
     return results
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import spinscreen as ss
-from spinscreen import exports
+from spinscreen import cli, exports
 
 
 def run_cli(*args, env=None):
@@ -109,6 +109,38 @@ def test_compute_oracle_cap(tmp_path):
                  "--outdir", str(tmp_path))
     assert cp.returncode == 2
     assert "kappa2" in cp.stderr
+
+
+def test_compute_oracle_cap_covers_pr_compare(monkeypatch, tmp_path, capsys):
+    # pr-compare builds the oracle screen as its reference
+    def must_not_build(params):
+        raise ss.ConvergenceFailure("the oracle screen was built")
+
+    monkeypatch.setitem(ss.SCREEN_METHODS, "oracle", must_not_build)
+    code = cli.main(["compute", "--two-a", "202", "--two-b", "302",
+                     "--two-c", "404", "--two-d", "368", "--method", "oracle",
+                     "--output", "pr-compare", "--outdir", str(tmp_path)])
+    assert code == 2
+    assert "kappa2" in capsys.readouterr().err
+
+
+def test_compute_rejects_a_screen_over_the_defect_bound(monkeypatch, tmp_path,
+                                                        capsys):
+    build = ss.SCREEN_METHODS["eigensolve"]
+
+    def skewed(params):
+        screen = build(params)
+        screen.values[:, 3] *= 1 + 1e-6
+        screen.diagnostics["orthonormality_defect"] = \
+            screen.orthonormality_defect()
+        return screen
+
+    monkeypatch.setitem(ss.SCREEN_METHODS, "eigensolve", skewed)
+    code = cli.main(["compute", *SMALL, "--output", "screen,caustics,pr-compare",
+                     "--outdir", str(tmp_path / "out")])
+    assert code == 3
+    assert "orthonormality defect" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_compute_deterministic(tmp_path):

@@ -448,9 +448,72 @@ def test_orthonormality_defect_mid_scale():
     assert screen.orthonormality_defect() < 1e-10
 
 
+def _gram_defects(values):
+    """max |U^T U - I| and the larger of it and max |U U^T - I|, each from
+    its own products and identity matrix."""
+    eye = np.eye(values.shape[0])
+    one_sided = np.max(np.abs(values.T @ values - eye))
+    return one_sided, max(one_sided, np.max(np.abs(values @ values.T - eye)))
+
+
+@pytest.mark.parametrize("quad", [(60, 90, 120, 110), (96, 43, 107, 50)])
+@pytest.mark.parametrize("method", ["eigensolve", "threeterm", "oracle"])
+def test_defect_is_the_first_gram_term(quad, method):
+    screen = ss.SCREEN_METHODS[method](ss.screen_ranges(*quad))
+    one_sided, two_sided = _gram_defects(screen.values)
+    assert screen.orthonormality_defect() == one_sided
+    assert screen.orthonormality_defect() <= two_sided
+
+
+def test_defect_is_the_first_gram_term_at_side_601(big_eig):
+    one_sided, two_sided = _gram_defects(big_eig.values)
+    assert big_eig.diagnostics["orthonormality_defect"] == one_sided <= two_sided
+
+
+# U is square, so a Gram matrix of either side sees a bad row or column
+@pytest.mark.parametrize("quad", [(60, 90, 120, 110), (96, 43, 107, 50)])
+def test_defect_catches_a_scaled_or_duplicated_row(quad):
+    p = ss.screen_ranges(*quad)
+    good = ss.screen_by_eigensolve(p).values
+
+    def defect(values):
+        return ss.Screen(params=p, values=values,
+                         method="eigensolve").orthonormality_defect()
+
+    for i in range(p.side):
+        # a fixed-x row of values, then a fixed-y row (a column of values)
+        for row, previous in ((np.s_[i, :], np.s_[i - 1, :]),
+                              (np.s_[:, i], np.s_[:, i - 1])):
+            scaled = good.copy()
+            scaled[row] *= 1 + 1e-8
+            assert defect(scaled) > verify.ORTHONORMALITY_BOUND, (row, "scaled")
+            duplicated = good.copy()
+            duplicated[row] = duplicated[previous]
+            assert defect(duplicated) > verify.ORTHONORMALITY_BOUND, (row, "dup")
+
+
 def test_verify_orthonormality_reads_diagnostic(ref_params, ref_eig):
-    (result,) = verify.check_orthonormality(ref_params, None, 0)
+    (result,) = verify.check_orthonormality(ref_params, None, 0,
+                                            lambda method, p: ref_eig)
     assert result.value == ref_eig.orthonormality_defect()
+    assert result.threshold == verify.ORTHONORMALITY_BOUND
+
+
+def test_verify_builds_each_screen_once(monkeypatch, ref_params):
+    calls = {}
+    for method, build in list(ss.SCREEN_METHODS.items()):
+        def counted(params, method=method, build=build):
+            key = (method, params.as_tuple())
+            calls[key] = calls.get(key, 0) + 1
+            return build(params)
+        monkeypatch.setitem(ss.SCREEN_METHODS, method, counted)
+    results = verify.run_checks()
+    assert all(r.passed for r in results)
+    conj = ss.regge_conjugate(*ref_params.as_tuple())
+    quad = ref_params.as_tuple()
+    assert calls == {("eigensolve", quad): 1, ("eigensolve", conj): 1,
+                     ("threeterm", quad): 1, ("recur2d", quad): 1,
+                     ("oracle", quad): 1, ("oracle", (8, 10, 12, 10)): 1}
 
 
 def test_residual_threeterm_on_oracle(ref_params, ref_oracle):
