@@ -2,8 +2,8 @@
 
 Values are kept as SqrtRational numbers q*sqrt(p) (q rational, p a square-free
 nonnegative integer) so that equality, products and same-radicand sums are
-exact.  The single-sum evaluation uses only integer factorials; nothing is
-rounded before an explicit conversion to float.
+exact.  The single sum runs in exact integers, one term from the next by
+their term ratio; nothing is rounded before an explicit conversion to float.
 """
 
 import math
@@ -13,8 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import OutOfRange, PatternError
-from .screen import Screen
+from .errors import ConvergenceFailure, OutOfRange, PatternError
+from .screen import Laps, Screen, with_defect
 from .spins import ScreenParams, triad_ok
 
 
@@ -119,6 +119,22 @@ def _delta_parts(ta, tb, tc):
     return _sqrt_factorial_ratio(
         ((ta + tb - tc) // 2, (ta - tb + tc) // 2, (-ta + tb + tc) // 2),
         ((ta + tb + tc) // 2 + 1,))
+
+
+def _signed_sqrt_ratio(num, den, negative):
+    """+-sqrt(num/den) for positive integers num, den.
+
+    num/den is CPython's correctly rounded int/int division, the same
+    rounding as float(Fraction).  A quotient that underflows to 0.0 is
+    rescaled by a power of 4 first, and the root by the matching power of 2.
+    """
+    sign = -1.0 if negative else 1.0
+    f = num / den
+    if f == 0.0:
+        shift = (den.bit_length() - num.bit_length()) // 2
+        f = (num << 2 * shift) / den
+        return sign * math.sqrt(f) * math.ldexp(1.0, -shift)
+    return sign * math.sqrt(f)
 
 
 def squarefree_split(n):
@@ -235,15 +251,8 @@ class SqrtRational:
         """Correctly-rounded-to-~1ulp double of q*sqrt(p)."""
         if self.q == 0:
             return 0.0
-        sign = 1.0 if self.q > 0 else -1.0
         r2 = self.q * self.q * self.p
-        f = float(r2)
-        if f == 0.0 or math.isinf(f):
-            # rescale by a power of 4 so the square fits in double range
-            shift = (r2.denominator.bit_length() - r2.numerator.bit_length()) // 2
-            f = float(r2 * Fraction(4) ** shift)
-            return sign * math.sqrt(f) * math.ldexp(1.0, -shift)
-        return sign * math.sqrt(f)
+        return _signed_sqrt_ratio(r2.numerator, r2.denominator, self.q < 0)
 
     __float__ = to_real
 
@@ -253,6 +262,38 @@ class SqrtRational:
 
 def _triads(tj1, tj2, tj3, tj4, tj5, tj6):
     return ((tj1, tj2, tj3), (tj1, tj5, tj6), (tj4, tj2, tj6), (tj4, tj5, tj3))
+
+
+def _racah_sum(tj1, tj2, tj3, tj4, tj5, tj6):
+    """The Racah single sum of an admissible 6j as (total, denominator).
+
+    Sum over t of (-1)^t (t+1)! / (prod_s (t-s)! prod_b (b-t)!), with s the
+    four triad sums and b the three box sums, over the common denominator
+    prod_s (t_hi-s)! prod_b (b-t_lo)!.  Every term is then an integer, so
+    each term follows from the one before by the exact term ratio
+    (t+2) prod_b (b-t) / prod_s (t+1-s).
+    """
+    tri = [(a + b + c) // 2
+           for a, b, c in _triads(tj1, tj2, tj3, tj4, tj5, tj6)]
+    box = [(tj1 + tj2 + tj4 + tj5) // 2, (tj2 + tj3 + tj5 + tj6) // 2,
+           (tj1 + tj3 + tj4 + tj6) // 2]
+    t_lo = max(tri)
+    t_hi = min(box)
+    s1, s2, s3, s4 = tri
+    b1, b2, b3 = box
+    term = factorial(t_lo + 1)
+    denominator = 1
+    for s in tri:
+        term *= factorial(t_hi - s) // factorial(t_lo - s)
+        denominator *= factorial(t_hi - s)
+    for b in box:
+        denominator *= factorial(b - t_lo)
+    total = term
+    for t in range(t_lo, t_hi):
+        term = (term * ((t + 2) * (b1 - t) * (b2 - t) * (b3 - t))
+                // ((t + 1 - s1) * (t + 1 - s2) * (t + 1 - s3) * (t + 1 - s4)))
+        total += -term if (t - t_lo) % 2 == 0 else term
+    return (-total if t_lo % 2 else total), denominator
 
 
 def sixj_exact(tj1, tj2, tj3, tj4, tj5, tj6):
@@ -266,27 +307,9 @@ def sixj_exact(tj1, tj2, tj3, tj4, tj5, tj6):
     triads = _triads(*args)
     if not all(triad_ok(*t) for t in triads):
         return SqrtRational.zero()
-    tri = [(a + b + c) // 2 for a, b, c in triads]
-    box = [(tj1 + tj2 + tj4 + tj5) // 2,
-           (tj2 + tj3 + tj5 + tj6) // 2,
-           (tj1 + tj3 + tj4 + tj6) // 2]
-    t_lo = max(tri)
-    t_hi = min(box)
-    # sum over a common denominator: every term becomes an integer
-    den_facts = [t_hi - s for s in tri] + [b - t_lo for b in box]
-    total = 0
-    for t in range(t_lo, t_hi + 1):
-        term = factorial(t + 1)
-        for s in tri:
-            term *= factorial(t_hi - s) // factorial(t - s)
-        for b in box:
-            term *= factorial(b - t_lo) // factorial(b - t)
-        total += -term if t % 2 else term
+    total, denom = _racah_sum(*args)
     if total == 0:
         return SqrtRational.zero()
-    denom = 1
-    for f in den_facts:
-        denom *= factorial(f)
     # radicand = product of the four triangle-coefficient squares
     k = Fraction(total, denom)
     s = 1
@@ -399,13 +422,59 @@ def sixj_zero_entry(two_a, two_b, two_x):
     return SqrtRational(Fraction(sign), Fraction(1, (two_b + 1) * (two_x + 1)))
 
 
+def _inverse_delta_sq(ta, tb, tc):
+    """1 / Delta^2 of an admissible triad: (s+1)! / ((s-a)! (s-b)! (s-c)!)
+    with s = (a+b+c)/2, an integer since (s-a)+(s-b)+(s-c) = s."""
+    return factorial((ta + tb + tc) // 2 + 1) // (
+        factorial((ta + tb - tc) // 2) * factorial((ta - tb + tc) // 2)
+        * factorial((-ta + tb + tc) // 2))
+
+
+def _axis_denominators(pairs, two_j):
+    """Per lattice value z: D with Delta^2(pair 1, z) Delta^2(pair 2, z)
+    = 1/D."""
+    (t1, t2), (t3, t4) = pairs
+    return [_inverse_delta_sq(t1, t2, tz) * _inverse_delta_sq(t3, t4, tz)
+            for tz in two_j]
+
+
+def _u_real(quad, tx, ty, dx, dy):
+    """U(x, y) of a screen point as the double nearest u_exact's value.
+
+    U^2 = total^2 (2x+1) (2y+1) / (den^2 Dx Dy), with total/den the Racah
+    sum and 1/Dx, 1/Dy the triangle coefficients of column x and row y, so
+    one correctly rounded integer division replaces the SqrtRational.
+    """
+    ta, tb, tc, td = quad
+    total, den = _racah_sum(ta, tb, tx, tc, td, ty)
+    if total == 0:
+        return 0.0
+    return _signed_sqrt_ratio(total * total * ((tx + 1) * (ty + 1)),
+                              den * den * dx * dy, total < 0)
+
+
 def screen_oracle(params: ScreenParams):
-    """Dense screen of exact U values converted to double at the end."""
-    xs = params.x_lattice()
-    ys = params.y_lattice()
+    """Dense screen of the exact U values, each rounded once to double:
+    every value equals u_exact(x, y).to_real() bit for bit.  The corner
+    (x_max, y_max) is checked against u_exact; a mismatch raises
+    ConvergenceFailure."""
+    ta, tb, tc, td = quad = params.as_tuple()
+    xs = [int(tx) for tx in params.x_lattice()]
+    ys = [int(ty) for ty in params.y_lattice()]
+    laps = Laps()
+    cols = _axis_denominators(((ta, tb), (tc, td)), xs)
+    rows = _axis_denominators(((ta, td), (tc, tb)), ys)
     values = np.empty((len(xs), len(ys)))
     for iy, ty in enumerate(ys):
         for ix, tx in enumerate(xs):
-            values[ix, iy] = u_exact(int(tx), int(ty), params).to_real()
-    return Screen(params=params, values=values, method="oracle",
-                  diagnostics={})
+            values[ix, iy] = _u_real(quad, tx, ty, cols[ix], rows[iy])
+    # one spot check against the SqrtRational route, at the corner where
+    # large screens take the underflow rescale
+    corner = u_exact(xs[-1], ys[-1], params).to_real()
+    if values[-1, -1] != corner:
+        raise ConvergenceFailure("oracle float path gives %r at (%d,%d), "
+                                 "u_exact %r" % (values[-1, -1], xs[-1],
+                                                 ys[-1], corner))
+    laps.lap("values")
+    return with_defect(Screen(params=params, values=values, method="oracle"),
+                       laps)

@@ -4,7 +4,6 @@ five-term cross recursion; SCREEN_METHODS names every screen builder."""
 
 import decimal
 import math
-import time
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -14,7 +13,7 @@ import scipy.linalg
 
 from . import exact
 from .errors import ConvergenceFailure, OutOfRange, ZeroPivot
-from .screen import Screen
+from .screen import Laps, Screen, with_defect
 from .spins import ScreenParams
 
 # inverse iteration: solves per row, start-vector seed, relative shift
@@ -114,28 +113,11 @@ def _anchor_sign(coeffs: TridiagCoeffs, lam_y, vec):
     return -1.0 if vec[istar] * sign < 0 else 1.0
 
 
-class _Laps:
-    """Wall time per stage: lap(name) ends the stage that began at the
-    previous lap, or at construction."""
-
-    def __init__(self):
-        self.timings = {}
-        self._last = time.perf_counter()
-
-    def lap(self, name):
-        now = time.perf_counter()
-        self.timings[name] = now - self._last
-        self._last = now
-
-
-def _core_diagnostics(screen: Screen, coeffs: TridiagCoeffs, laps: _Laps):
+def _core_diagnostics(screen: Screen, coeffs: TridiagCoeffs, laps: Laps):
     """Residual, orthonormality defect and the stage timings of a screen."""
     screen.diagnostics["residual_max"] = float(residual_threeterm(screen, coeffs))
     laps.lap("residual")
-    screen.diagnostics["orthonormality_defect"] = screen.orthonormality_defect()
-    laps.lap("defect")
-    screen.diagnostics["timings"] = laps.timings
-    return screen
+    return with_defect(screen, laps)
 
 
 def screen_by_eigensolve(params: ScreenParams):
@@ -146,7 +128,7 @@ def screen_by_eigensolve(params: ScreenParams):
     of the stretched boundary value U(x_max, y).  diagnostics["timings"]
     holds the wall time of each stage in seconds.
     """
-    laps = _Laps()
+    laps = Laps()
     coeffs = tridiag_coeffs(params)
     laps.lap("coeffs")
     try:
@@ -224,7 +206,7 @@ def row_by_threeterm(two_y, params: ScreenParams):
 def screen_by_threeterm(params: ScreenParams):
     """Screen of the rows of row_by_threeterm, one per y, with the solves
     and the sign anchor timed as separate stages."""
-    laps = _Laps()
+    laps = Laps()
     coeffs = tridiag_coeffs(params)
     laps.lap("coeffs")
     start = _start_vector(params.side)
@@ -328,13 +310,16 @@ def screen_by_2d(params: ScreenParams):
     only to the working precision.  A vanishing pivot (p_plus of the row
     being solved for) raises ZeroPivot, a null row ConvergenceFailure.
     """
+    laps = Laps()
     diagnostics = {"seed_method": "exact",
                    "precision_digits": _decimal_digits(params)}
     values, raw_norms = _propagate_2d(params, diagnostics["precision_digits"])
+    laps.lap("propagate")
     diagnostics["renorm_drift_max"] = float(np.max(np.abs(raw_norms - 1.0)))
     diagnostics["residual_cross_max"] = _cross_residual_max(params, values)
-    return Screen(params=params, values=values, method="recur2d",
-                  diagnostics=diagnostics)
+    laps.lap("cross_residual")
+    return with_defect(Screen(params=params, values=values, method="recur2d",
+                              diagnostics=diagnostics), laps)
 
 
 def _propagate_2d(params: ScreenParams, digits):

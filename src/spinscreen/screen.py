@@ -1,5 +1,6 @@
 """Dense screen container shared by all generation methods."""
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,3 +36,26 @@ class Screen:
         gram = self.values.T @ self.values
         gram.flat[::gram.shape[0] + 1] -= 1.0
         return float(np.max(np.abs(gram, out=gram)))
+
+
+class Laps:
+    """Wall time per stage: lap(name) ends the stage that began at the
+    previous lap, or at construction."""
+
+    def __init__(self):
+        self.timings = {}
+        self._last = time.perf_counter()
+
+    def lap(self, name):
+        now = time.perf_counter()
+        self.timings[name] = now - self._last
+        self._last = now
+
+
+def with_defect(screen: Screen, laps: Laps):
+    """Record the orthonormality defect, timed as the last stage, and the
+    stage timings of a screen."""
+    screen.diagnostics["orthonormality_defect"] = screen.orthonormality_defect()
+    laps.lap("defect")
+    screen.diagnostics["timings"] = laps.timings
+    return screen

@@ -143,6 +143,24 @@ def test_compute_rejects_a_screen_over_the_defect_bound(monkeypatch, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+# the oracle and recur2d builders record their own defect: a column
+# skewed inside the builder, before the defect is taken, must reach the gate
+@pytest.mark.parametrize("method, module", [("oracle", ss.exact),
+                                            ("recur2d", ss.recursion)])
+def test_compute_gates_the_defect_of_every_builder(monkeypatch, tmp_path,
+                                                   capsys, method, module):
+    def skewed_screen(values, **fields):
+        values[:, 3] *= 1 + 1e-6
+        return ss.Screen(values=values, **fields)
+
+    monkeypatch.setattr(module, "Screen", skewed_screen)
+    code = cli.main(["compute", *SMALL, "--method", method, "--output",
+                     "screen", "--outdir", str(tmp_path / "out")])
+    assert code == 3
+    assert "orthonormality defect" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_compute_deterministic(tmp_path):
     out1 = tmp_path / "run1"
     out2 = tmp_path / "run2"

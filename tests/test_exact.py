@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import spinscreen as ss
-from spinscreen.exact import SqrtRational, factorial
+from spinscreen import exact
+from spinscreen.exact import (SqrtRational, _axis_denominators, _racah_sum,
+                              _u_real, factorial)
 from conftest import random_valid_quadruple, random_lattice_point
 
 
@@ -294,3 +296,61 @@ def test_golden_point(ref_params):
     v = ss.u_exact(ref_params.two_x_min, ref_params.two_y_min, ref_params)
     assert abs(v.to_real()) <= 1.0
     assert format(v.to_real(), ".17g") == "1.3418542676692921e-05"
+
+
+# the oracle screen's float path rounds U^2 once, as to_real does; the last
+# screen is half-integer (a = 21/2, c = 41/2)
+@pytest.mark.parametrize("quad", [(20, 30, 40, 36), (60, 90, 120, 110),
+                                  (96, 43, 107, 50), (21, 30, 41, 36)])
+def test_screen_oracle_is_u_exact_to_real_bitwise(quad):
+    p = ss.screen_ranges(*quad)
+    values = ss.screen_oracle(p).values
+    expected = np.array([[ss.u_exact(int(tx), int(ty), p).to_real()
+                          for ty in p.y_lattice()] for tx in p.x_lattice()])
+    assert values.tobytes() == expected.tobytes()
+
+
+def test_float_path_rescales_an_underflowing_square():
+    quad = (600, 900, 1200, 1100)
+    p = ss.screen_ranges(*quad)
+    tx, ty = p.two_x_max, p.two_y_max
+    assert (tx, ty) == (1500, 1700)
+    dx = _axis_denominators(((600, 900), (1200, 1100)), [tx])[0]
+    dy = _axis_denominators(((600, 1100), (1200, 900)), [ty])[0]
+    total, den = _racah_sum(600, 900, tx, 1200, 1100, ty)
+    # U^2 itself underflows, so only the rescale branch gives a value
+    assert total * total * (tx + 1) * (ty + 1) / (den * den * dx * dy) == 0.0
+    expected = 1.2395618071713993e-215
+    assert ss.u_exact(tx, ty, p).to_real() == expected
+    assert _u_real(quad, tx, ty, dx, dy) == expected
+
+
+def test_sixj_exact_matches_sympy_at_large_spins():
+    # long single sums, where every term-ratio update must divide exactly
+    wigner = pytest.importorskip("sympy.physics.wigner")
+    from sympy import Rational
+    quad = (200, 300, 400, 366)
+    p = ss.screen_ranges(*quad)
+    xs, ys = p.x_lattice(), p.y_lattice()
+    points = [(quad, xs[0], ys[0]), (quad, xs[-1], ys[-1]),
+              (quad, xs[len(xs) // 2], ys[len(ys) // 2]),
+              (quad, xs[40], ys[-30])]
+    rng = random.Random(400)
+    for _ in range(6):
+        q = random_valid_quadruple(rng, two_j_max=400)
+        points.append((q.as_tuple(), *random_lattice_point(rng, q)))
+    for (ta, tb, tc, td), tx, ty in points:
+        tjs = (ta, tb, int(tx), tc, td, int(ty))
+        ref = wigner.wigner_6j(*(Rational(t, 2) for t in tjs))
+        sq = ref ** 2
+        sq = Fraction(int(sq.p), int(sq.q))
+        assert ss.sixj_exact(*tjs).signed_square() == (-sq if ref < 0 else sq), tjs
+
+
+def test_screen_oracle_spot_check_catches_a_float_path_fault(monkeypatch):
+    def off_by_one_ulp(*args):
+        return math.nextafter(_u_real(*args), 2.0)
+
+    monkeypatch.setattr(exact, "_u_real", off_by_one_ulp)
+    with pytest.raises(ss.ConvergenceFailure):
+        exact.screen_oracle(ss.screen_ranges(8, 10, 12, 10))

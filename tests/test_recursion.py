@@ -188,7 +188,9 @@ def test_anchor_singular_trailing_block_raises():
 
 def test_stage_timings(ref_params):
     stages = {"eigensolve": ["coeffs", "eigh", "anchor", "residual", "defect"],
-              "threeterm": ["coeffs", "solve", "anchor", "residual", "defect"]}
+              "threeterm": ["coeffs", "solve", "anchor", "residual", "defect"],
+              "recur2d": ["propagate", "cross_residual", "defect"],
+              "oracle": ["values", "defect"]}
     for p in (ref_params, ss.screen_ranges(0, 8, 8, 8)):
         for method, names in stages.items():
             timings = ss.SCREEN_METHODS[method](p).diagnostics["timings"]
@@ -319,6 +321,23 @@ def test_every_method_matches_oracle_on_every_row():
             assert err <= 1e-11, (name, quad, err)
         checked += 1
     assert checked == 2761
+
+
+@pytest.mark.slow
+def test_every_method_matches_oracle_on_every_row_to_two_j_40():
+    # sides above 9, the largest of the exhaustive two_j <= 8 sweep
+    rng = random.Random(40)
+    checked = 0
+    while checked < 30:
+        p = random_valid_quadruple(rng, two_j_max=40)
+        if p.side <= 9:
+            continue
+        checked += 1
+        screens = {name: build(p) for name, build in ss.SCREEN_METHODS.items()}
+        ref = screens["oracle"].values
+        for name, screen in screens.items():
+            err = np.max(np.abs(screen.values - ref))
+            assert err <= 1e-11, (name, p.as_tuple(), err)
 
 
 def test_cross_identity_on_oracle_values(ref_params, ref_oracle):
