@@ -10,15 +10,13 @@ import os
 import sys
 import time
 
-from . import __version__, exports, geometry, recursion, semiclassics, verify
+from . import (__version__, exact, exports, geometry, recursion, semiclassics,
+               verify)
 from .errors import ConvergenceFailure, EmptyScreen, SpinScreenError
 from .spins import ScreenParams
 
 _OUTPUTS = ("screen", "caustics", "ridges", "potentials", "cos-theta3",
             "pr-compare")
-
-# practical single-sum cost bound: the exact oracle is quadratic in the side
-_ORACLE_KAPPA2_CAP = 400
 
 
 def _add_params(parser):
@@ -51,11 +49,11 @@ def cmd_compute(args):
     if params is None:
         return 2
     needs_screen = "screen" in outputs or "pr-compare" in outputs
-    if args.method == "oracle" and params.two_kappa > _ORACLE_KAPPA2_CAP \
+    if args.method == "oracle" and params.two_kappa > exact.ORACLE_KAPPA2_CAP \
             and needs_screen:
         print("oracle screens are limited to kappa2 <= %d (requested %d); "
-              "use --method eigensolve" % (_ORACLE_KAPPA2_CAP, params.two_kappa),
-              file=sys.stderr)
+              "use --method eigensolve"
+              % (exact.ORACLE_KAPPA2_CAP, params.two_kappa), file=sys.stderr)
         return 2
     t0 = time.perf_counter()
     screen = None

@@ -14,7 +14,8 @@ class ParityError(SpinScreenError):
 
 
 class OutOfRange(SpinScreenError):
-    """A lattice point lies outside the screen."""
+    """A lattice point lies outside the screen, or a value outside the
+    double range."""
 
 
 class PatternError(SpinScreenError):

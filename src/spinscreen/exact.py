@@ -17,6 +17,11 @@ from .errors import ConvergenceFailure, OutOfRange, PatternError
 from .screen import Laps, Screen, with_defect
 from .spins import ScreenParams, triad_ok
 
+# the largest two_kappa of an oracle screen the command line and verify
+# build: its single sums grow quadratically in the side, and a side-201
+# screen (two_kappa 400) takes about 8 s
+ORACLE_KAPPA2_CAP = 400
+
 
 class _FactorialCache:
     """Grow-only factorial table; reads are lock-free, growth is serialized."""
@@ -125,11 +130,17 @@ def _signed_sqrt_ratio(num, den, negative):
     """+-sqrt(num/den) for positive integers num, den.
 
     num/den is CPython's correctly rounded int/int division, the same
-    rounding as float(Fraction).  A quotient that underflows to 0.0 is
-    rescaled by a power of 4 first, and the root by the matching power of 2.
+    rounding as float(Fraction).  A quotient that underflows to 0.0 or
+    overflows is rescaled by a power of 4 first, and the root by the
+    matching power of 2; a root above the double range raises
+    OverflowError.
     """
     sign = -1.0 if negative else 1.0
-    f = num / den
+    try:
+        f = num / den
+    except OverflowError:
+        shift = (num.bit_length() - den.bit_length()) // 2
+        return math.ldexp(sign * math.sqrt(num / (den << 2 * shift)), shift)
     if f == 0.0:
         shift = (den.bit_length() - num.bit_length()) // 2
         f = (num << 2 * shift) / den
@@ -248,11 +259,16 @@ class SqrtRational:
         return sq if self.q >= 0 else -sq
 
     def to_real(self):
-        """Correctly-rounded-to-~1ulp double of q*sqrt(p)."""
+        """Correctly-rounded-to-~1ulp double of q*sqrt(p); a value above the
+        double range raises OutOfRange."""
         if self.q == 0:
             return 0.0
         r2 = self.q * self.q * self.p
-        return _signed_sqrt_ratio(r2.numerator, r2.denominator, self.q < 0)
+        try:
+            return _signed_sqrt_ratio(r2.numerator, r2.denominator, self.q < 0)
+        except OverflowError:
+            raise OutOfRange("%s is above the double range"
+                             % type(self).__name__) from None
 
     __float__ = to_real
 
@@ -476,5 +492,9 @@ def screen_oracle(params: ScreenParams):
                                  "u_exact %r" % (values[-1, -1], xs[-1],
                                                  ys[-1], corner))
     laps.lap("values")
-    return with_defect(Screen(params=params, values=values, method="oracle"),
-                       laps)
+    screen = Screen(params=params, values=values, method="oracle")
+    # recursion imports this module, so its residual is imported here
+    from .recursion import residual_threeterm
+    screen.diagnostics["residual_max"] = residual_threeterm(screen)
+    laps.lap("residual")
+    return with_defect(screen, laps)

@@ -6,7 +6,6 @@ import decimal
 import math
 from dataclasses import dataclass
 from decimal import Decimal
-from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -36,16 +35,12 @@ class TridiagCoeffs:
     w: np.ndarray
     lam: np.ndarray
 
-    def w_lambda(self):
-        """w(x) - lambda(y) on the full grid, shape (nx, ny)."""
-        return self.w[:, None] - self.lam[None, :]
-
 
 def _recursion_terms(params: ScreenParams, half):
     """The three-term recursion's pieces with j = half(two_j): the radicand
     f of p_plus = sqrt(f) / ((x+1) sqrt((2x+1)(2x+3))), the x lattice, w and
-    lambda.  half gives floats for tridiag_coeffs and exact Fractions for the
-    cross recursion."""
+    lambda.  half gives floats for tridiag_coeffs and Decimals for the cross
+    recursion."""
     a, b, c, d = (half(t) for t in params.as_tuple())
     x = half(params.x_lattice())
     y = half(params.y_lattice())
@@ -113,7 +108,7 @@ def _anchor_sign(coeffs: TridiagCoeffs, lam_y, vec):
     return -1.0 if vec[istar] * sign < 0 else 1.0
 
 
-def _core_diagnostics(screen: Screen, coeffs: TridiagCoeffs, laps: Laps):
+def _core_diagnostics(screen: Screen, laps: Laps, coeffs: TridiagCoeffs = None):
     """Residual, orthonormality defect and the stage timings of a screen."""
     screen.diagnostics["residual_max"] = float(residual_threeterm(screen, coeffs))
     laps.lap("residual")
@@ -144,7 +139,7 @@ def screen_by_eigensolve(params: ScreenParams):
                                 / np.maximum(np.abs(coeffs.lam), 1.0)))
     screen = Screen(params=params, values=values, method="eigensolve",
                     diagnostics={"spectrum_rel_error": spectrum_err})
-    return _core_diagnostics(screen, coeffs, laps)
+    return _core_diagnostics(screen, laps, coeffs)
 
 
 def residual_threeterm(screen: Screen, coeffs: TridiagCoeffs = None):
@@ -217,7 +212,7 @@ def screen_by_threeterm(params: ScreenParams):
     laps.lap("anchor")
     screen = Screen(params=params, values=values, method="threeterm",
                     diagnostics={})
-    return _core_diagnostics(screen, coeffs, laps)
+    return _core_diagnostics(screen, laps, coeffs)
 
 
 def _cross_rows(params: ScreenParams, terms):
@@ -262,40 +257,79 @@ def _cross_coeffs(params: ScreenParams):
     return kappa * np.array(cx), kappa * np.array(cy)
 
 
-def _cross_rows_exact(params: ScreenParams):
-    """The rows of _cross_rows in Fractions, with p_minus and p_plus squared."""
+def _cross_rows_decimal(params: ScreenParams):
+    """The rows of _cross_rows as lists of Decimals at the context's
+    precision.  Spins, their sums and products are exact; w, the diagonal's
+    sum, p_plus squared and its root are each rounded once.  p_minus is
+    p_plus shifted by one point, so each root is taken once."""
     def terms(p):
         f, x, w, lam = _recursion_terms(
-            p, lambda two_j: np.asarray(two_j, dtype=object) * Fraction(1, 2))
-        return f / ((x + 1) ** 2 * (2 * x + 1) * (2 * x + 3)), w, lam
+            p, lambda two_j: np.asarray(two_j, dtype=object) * Decimal("0.5"))
+        p_plus_sq = f / ((x + 1) ** 2 * (2 * x + 1) * (2 * x + 3))
+        return np.array([v.sqrt() for v in p_plus_sq]), w, lam
 
-    return _cross_rows(params, terms)
+    return [[row.tolist() for row in rows] for rows in _cross_rows(params, terms)]
 
 
-def _decimal_digits(params: ScreenParams):
-    """Working precision for the cross propagation.
+def _zero_pivot(params: ScreenParams, j):
+    """The ZeroPivot of the cross recursion's row j."""
+    return ZeroPivot("cross recursion pivot vanishes at two_y=%d"
+                     % (params.two_y_min + 2 * j))
 
-    The stencil amplifies off-band noise by roughly e per row and the
-    forbidden-corner values decay exponentially, both linear in the side
-    length, so guard digits scale with the side.
+
+def _decimal_digits(params: ScreenParams, coeffs=None):
+    """Working precision of the cross propagation: 40 + ceil(G) digits.
+
+    Every row of the sweep applies the same x operator [cxm, cx0, cxp] of
+    _cross_coeffs, a symmetric tridiagonal matrix since p_minus(x) =
+    p_plus(x-1).  In its eigenbasis (eigenvalues nu) the sweep splits into
+    one scalar y recurrence per mode,
+        cyp_j c_{j+1} = (nu - cy0_j) c_j - cym_j c_{j-1},
+    so the round-off of each mode grows as that recurrence's solutions
+    grow.  G is the largest log10 growth of its two fundamental solutions,
+    (c_0, c_1) = (1, 0) and (0, 1), over all nu and all rows: one
+    eigvalsh_tridiagonal call and a float sweep over the rows, vectorized
+    over nu and rescaled every row, 3-5 ms at sides 61-201.  coeffs are
+    _cross_coeffs(params), computed when not given; a zero pivot raises
+    ZeroPivot.
+
+    Measured against the digits the sweep really loses (D + log10 of its
+    largest error against the oracle, at D = ceil(G) + 10 digits), ceil(G)
+    reads 31 vs 32 at (60,90,120,110), 58 vs 58 at (100,100,100,100), 63 vs
+    63 at (120,180,240,220), 94 vs 93 at (160,160,160,160) and 105 vs 108
+    at (200,300,400,366).  On 14 random screens of sides 21-89, 1e-15
+    took ceil(G) + 16 to ceil(G) + 21 digits, so the guard of 40 leaves at
+    least 19 to spare.  The loss runs at 0.52-0.58 decades per row; a
+    guard fixed in the side must be set for the steepest screen and runs
+    out with the side, where G follows each screen.
     """
-    return 40 + params.side
+    n = params.side
+    if n < 3:
+        return 40
+    cx, cy = _cross_coeffs(params) if coeffs is None else coeffs
+    zero = np.flatnonzero(cy[2, 1:-1] == 0)
+    if zero.size:
+        raise _zero_pivot(params, int(zero[0]) + 1)
+    nu = scipy.linalg.eigvalsh_tridiagonal(cx[1], cx[2, :-1])
+    prev = np.stack((np.ones_like(nu), np.zeros_like(nu)))
+    cur = prev[::-1].copy()
+    log_scale = np.zeros_like(prev)
+    peak = np.zeros_like(prev)
+    for cym, cy0, cyp in cy[:, 1:-1].T:
+        nxt = ((nu - cy0) * cur - cym * prev) / cyp
+        scale = np.maximum(np.abs(cur), np.abs(nxt))
+        log_scale += np.log10(scale)
+        np.maximum(peak, log_scale, out=peak)
+        prev, cur = cur / scale, nxt / scale
+    return 40 + math.ceil(peak.max())
 
 
-def _dec_coeff(pref, rad=1):
-    """Decimal value of pref*sqrt(rad) for exact rationals pref and rad."""
-    if pref == 0 or rad == 0:
+def _dec_value(value: exact.SqrtRational):
+    """Decimal of an exact q*sqrt(p), rounded to the context's precision."""
+    if value.is_zero():
         return Decimal(0)
-    root = (Decimal(rad.numerator) / Decimal(rad.denominator)).sqrt()
-    return Decimal(pref.numerator) / Decimal(pref.denominator) * root
-
-
-def _decimal_rows(rows):
-    """Decimal [p_minus, diagonal, p_plus] from exact rows with p_minus and
-    p_plus squared."""
-    p_minus_sq, diag, p_plus_sq = rows
-    return ([_dec_coeff(1, r) for r in p_minus_sq], [_dec_coeff(v) for v in diag],
-            [_dec_coeff(1, r) for r in p_plus_sq])
+    q = value.q
+    return Decimal(q.numerator) / Decimal(q.denominator) * Decimal(value.p).sqrt()
 
 
 def screen_by_2d(params: ScreenParams):
@@ -304,76 +338,96 @@ def screen_by_2d(params: ScreenParams):
     The stencil links three x-neighbors at row y to three y-neighbors at
     column x; rows y_min and y_min+1 determine the rest.  The pointwise
     sweep amplifies round-off exponentially across forbidden regions, so
-    the propagation runs in Decimal arithmetic with side-proportional guard
-    digits.  The seed rows are the exact oracle values and the coefficients
-    are the exact rationals and square roots of _cross_rows, both rounded
-    only to the working precision.  A vanishing pivot (p_plus of the row
-    being solved for) raises ZeroPivot, a null row ConvergenceFailure.
+    the propagation runs in Decimal arithmetic with the guard digits of
+    _decimal_digits, read from the screen's own mode growth.  The seed rows
+    are the exact oracle values rounded to the working precision, and the
+    coefficients are _cross_rows_decimal's.  A vanishing pivot (p_plus of
+    the row being solved for) raises ZeroPivot, a null row
+    ConvergenceFailure.
     """
     laps = Laps()
+    # the stencil needs an interior point, and side 1 has ta or tc = 0
+    cross = _cross_coeffs(params) if params.side >= 3 else None
     diagnostics = {"seed_method": "exact",
-                   "precision_digits": _decimal_digits(params)}
+                   "precision_digits": _decimal_digits(params, cross)}
     values, raw_norms = _propagate_2d(params, diagnostics["precision_digits"])
     laps.lap("propagate")
     diagnostics["renorm_drift_max"] = float(np.max(np.abs(raw_norms - 1.0)))
-    diagnostics["residual_cross_max"] = _cross_residual_max(params, values)
+    diagnostics["residual_cross_max"] = _cross_residual_max(params, values,
+                                                            cross)
     laps.lap("cross_residual")
-    return with_defect(Screen(params=params, values=values, method="recur2d",
-                              diagnostics=diagnostics), laps)
+    return _core_diagnostics(Screen(params=params, values=values,
+                                    method="recur2d", diagnostics=diagnostics),
+                             laps)
+
+
+# digits of the row normalization: a double's rounding is off only for a
+# value within 1e-34 relative of one of its rounding boundaries
+_NORM_DIGITS = 34
 
 
 def _propagate_2d(params: ScreenParams, digits):
     """Unit-norm float rows of the Decimal sweep, and the rows' raw norms.
 
-    The Decimal grid is freed on return, before the float residual's
-    temporaries are allocated.
+    Each row costs one reciprocal of its pivot and one comprehension over
+    the neighbor slices, with the x diagonal minus the row's y diagonal
+    folded into one coefficient.  Only the last two rows are held in
+    Decimal: each row is rounded to _NORM_DIGITS and normalized there as
+    soon as it is made, so no Decimal grid is ever allocated.
     """
     n = params.side
-    ctx = decimal.Context(prec=digits, Emax=decimal.MAX_EMAX,
-                          Emin=decimal.MIN_EMIN)
-    with decimal.localcontext(ctx):
-        work = [[Decimal(0)] * n for _ in range(n)]  # work[iy][ix]
-        for j in range(min(n, 2)):
-            two_y = params.two_y_min + 2 * j
-            exact_row = (exact.u_exact(int(tx), two_y, params)
-                         for tx in params.x_lattice())
-            work[j] = [_dec_coeff(v.q, v.p) for v in exact_row]
-        cx, cy = (_decimal_rows(rows) for rows in _cross_rows_exact(params))
-        cxm, cx0, cxp = cx
-        for j in range(1, n - 1):
-            u = work[j]
-            prev = work[j - 1]
-            pivot = cy[2][j]
-            if pivot == 0:
-                raise ZeroPivot("cross recursion pivot vanishes at two_y=%d"
-                                % (params.two_y_min + 2 * j))
-            nxt = work[j + 1]
-            cym, cy0 = cy[0][j], cy[1][j]
-            for i in range(n):
-                acc = cx0[i] * u[i]
-                if i > 0:
-                    acc += cxm[i] * u[i - 1]
-                if i < n - 1:
-                    acc += cxp[i] * u[i + 1]
-                nxt[i] = (acc - cym * prev[i] - cy0 * u[i]) / pivot
-        # row norms in Decimal, conversion to float afterwards
-        values = np.zeros((n, n))
-        raw_norms = np.empty(n)
-        for j in range(n):
-            norm = ctx.sqrt(sum(v * v for v in work[j]))
+    values = np.empty((n, n))
+    raw_norms = np.empty(n)
+    short = decimal.Context(prec=_NORM_DIGITS, Emax=decimal.MAX_EMAX,
+                            Emin=decimal.MIN_EMIN)
+
+    def emit(j, row):
+        with decimal.localcontext(short):
+            entries = [+v for v in row]
+            norm = sum(v * v for v in entries).sqrt()
             if norm == 0:
                 raise ConvergenceFailure("2D propagation produced a null row")
             raw_norms[j] = float(norm)
-            values[:, j] = [float(v / norm) for v in work[j]]
+            values[:, j] = [float(v / norm) for v in entries]
+
+    ctx = decimal.Context(prec=digits, Emax=decimal.MAX_EMAX,
+                          Emin=decimal.MIN_EMIN)
+    with decimal.localcontext(ctx):
+        seeds = [[_dec_value(exact.u_exact(int(tx), params.two_y_min + 2 * j,
+                                           params))
+                  for tx in params.x_lattice()]
+                 for j in range(min(n, 2))]
+        for j, row in enumerate(seeds):
+            emit(j, row)
+        (cxm, cx0, cxp), (cym, cy0, cyp) = _cross_rows_decimal(params)
+        inner_m, inner_p = cxm[1:-1], cxp[1:-1]
+        prev, u = seeds[0], seeds[-1]
+        for j in range(1, n - 1):
+            if cyp[j] == 0:
+                raise _zero_pivot(params, j)
+            inv = 1 / cyp[j]
+            back = cym[j]
+            diag = [c - cy0[j] for c in cx0]
+            first = (diag[0] * u[0] + cxp[0] * u[1] - back * prev[0]) * inv
+            last = (diag[-1] * u[-1] + cxm[-1] * u[-2] - back * prev[-1]) * inv
+            nxt = ([first]
+                   + [(d * v + m * vm + p * vp - back * w) * inv
+                      for d, v, m, vm, p, vp, w in zip(
+                          diag[1:-1], u[1:-1], inner_m, u[:-2], inner_p,
+                          u[2:], prev[1:-1])]
+                   + [last])
+            emit(j + 1, nxt)
+            prev, u = u, nxt
     return values, raw_norms
 
 
-def _cross_residual_max(params: ScreenParams, values):
-    """Largest five-term stencil residual over propagated rows (float)."""
+def _cross_residual_max(params: ScreenParams, values, coeffs=None):
+    """Largest five-term stencil residual over propagated rows (float);
+    coeffs are _cross_coeffs(params), computed when not given."""
     n = params.side
     if n < 3:
         return 0.0
-    cx, cy = _cross_coeffs(params)
+    cx, cy = _cross_coeffs(params) if coeffs is None else coeffs
     u = values[:, 1:-1]
     lhs = cx[1][:, None] * u
     lhs[:-1] += cx[2, :-1, None] * u[1:]

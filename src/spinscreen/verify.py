@@ -69,7 +69,7 @@ def check_cross_methods(params, rng, n_random, screen):
     two_d = screen("recur2d", params)
     out = [_result("cross-methods-eig-2d",
                    np.max(np.abs(eig.values - two_d.values)), 1e-8)]
-    if params.two_kappa <= 280:
+    if params.two_kappa <= exact.ORACLE_KAPPA2_CAP:
         oracle = screen("oracle", params)
         out.append(_result("cross-methods-oracle-eig",
                            np.max(np.abs(oracle.values - eig.values)), 1e-8))

@@ -261,6 +261,17 @@ def test_to_real_extreme_magnitudes():
     assert SqrtRational(Fraction(1, 10 ** 400), 1).to_real() == 0.0
 
 
+def test_to_real_above_the_double_range():
+    # q^2 p overflows a double long before q sqrt(p) does
+    big = SqrtRational(10 ** 200, 3)
+    assert big.to_real() == pytest.approx(math.sqrt(3) * 1e200, rel=1e-15)
+    assert (-big).to_real() == -big.to_real()
+    for value in (SqrtRational(10 ** 400), SqrtRational(-10 ** 400),
+                  SqrtRational(1, 10 ** 620)):
+        with pytest.raises(ss.OutOfRange):
+            value.to_real()
+
+
 def test_factorial_cache():
     assert factorial(0) == 1
     assert factorial(20) == math.factorial(20)

@@ -56,7 +56,7 @@ def test_lambda_strictly_increasing(ref_params):
 
 def test_w_lambda_grid(ref_params):
     coeffs = tridiag_coeffs(ref_params)
-    wl = coeffs.w_lambda()
+    wl = coeffs.w[:, None] - coeffs.lam[None, :]
     assert wl.shape == (ref_params.side, ref_params.side)
     assert wl[3, 5] == coeffs.w[3] - coeffs.lam[5]
 
@@ -189,8 +189,8 @@ def test_anchor_singular_trailing_block_raises():
 def test_stage_timings(ref_params):
     stages = {"eigensolve": ["coeffs", "eigh", "anchor", "residual", "defect"],
               "threeterm": ["coeffs", "solve", "anchor", "residual", "defect"],
-              "recur2d": ["propagate", "cross_residual", "defect"],
-              "oracle": ["values", "defect"]}
+              "recur2d": ["propagate", "cross_residual", "residual", "defect"],
+              "oracle": ["values", "residual", "defect"]}
     for p in (ref_params, ss.screen_ranges(0, 8, 8, 8)):
         for method, names in stages.items():
             timings = ss.SCREEN_METHODS[method](p).diagnostics["timings"]
@@ -353,16 +353,65 @@ def test_screen_2d_matches_oracle(ref_params, ref_oracle):
 
 
 def test_screen_2d_zero_pivot_raises(monkeypatch):
-    exact_rows = recursion._cross_rows_exact
+    decimal_rows = recursion._cross_rows_decimal
 
     def zero_pivot(params):
-        cx, cy = exact_rows(params)
-        cy[2][1] = 0  # p_plus squared along y at row 1
+        cx, cy = decimal_rows(params)
+        cy[2][1] = 0  # p_plus along y at row 1
         return cx, cy
 
-    monkeypatch.setattr(recursion, "_cross_rows_exact", zero_pivot)
+    monkeypatch.setattr(recursion, "_cross_rows_decimal", zero_pivot)
     with pytest.raises(ss.ZeroPivot):
         ss.screen_by_2d(ss.screen_ranges(8, 10, 12, 10))
+
+
+def test_screen_2d_zero_float_pivot_raises(monkeypatch):
+    # the working precision reads the float coefficients first: a zero
+    # pivot there must raise, not give infinite digits
+    float_coeffs = recursion._cross_coeffs
+
+    def zero_pivot(params):
+        cx, cy = float_coeffs(params)
+        cy[2, 1] = 0.0
+        return cx, cy
+
+    monkeypatch.setattr(recursion, "_cross_coeffs", zero_pivot)
+    with pytest.raises(ss.ZeroPivot, match="two_y=4"):
+        ss.screen_by_2d(ss.screen_ranges(8, 10, 12, 10))
+
+
+@pytest.fixture(scope="module")
+def mid_params():
+    return ss.screen_ranges(120, 180, 240, 220)
+
+
+@pytest.fixture(scope="module")
+def mid_oracle(mid_params):
+    return ss.screen_oracle(mid_params)
+
+
+@pytest.mark.parametrize("quad", [(60, 90, 120, 110), (120, 180, 240, 220)])
+def test_screen_2d_equals_the_side_guarded_sweep(quad):
+    # a blanket guard of 40 + side digits gives the same doubles
+    p = ss.screen_ranges(*quad)
+    screen = ss.screen_by_2d(p)
+    assert screen.diagnostics["precision_digits"] < 40 + p.side
+    values, _ = recursion._propagate_2d(p, 40 + p.side)
+    assert np.array_equal(screen.values, values)
+
+
+def test_screen_2d_matches_oracle_at_side_121(mid_params, mid_oracle):
+    screen = ss.screen_by_2d(mid_params)
+    assert screen.diagnostics["precision_digits"] == 103
+    assert np.max(np.abs(screen.values - mid_oracle.values)) <= 1e-14
+
+
+def test_mode_growth_tracks_the_digits_lost(mid_params, mid_oracle):
+    # with 5 digits over the growth G in place of the guard of 40, the
+    # sweep loses all but a few: G is the real loss, not slack
+    growth = recursion._decimal_digits(mid_params) - 40
+    values, _ = recursion._propagate_2d(mid_params, growth + 5)
+    assert np.max(np.abs(values - mid_oracle.values)) > 1e-8
 
 
 def test_screen_2d_null_row_raises_convergence_failure(monkeypatch):
@@ -538,3 +587,9 @@ def test_verify_builds_each_screen_once(monkeypatch, ref_params):
 def test_residual_threeterm_on_oracle(ref_params, ref_oracle):
     res = residual_threeterm(ref_oracle)
     assert res < 1e-10
+
+
+@pytest.mark.parametrize("method", ["oracle", "recur2d"])
+def test_every_builder_records_the_threeterm_residual(ref_params, method):
+    screen = ss.SCREEN_METHODS[method](ref_params)
+    assert screen.diagnostics["residual_max"] == residual_threeterm(screen)
