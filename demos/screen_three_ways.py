@@ -50,3 +50,10 @@ print("              as float: %.17g" % v.to_real())
 row = ss.row_by_threeterm(110, params)
 print("three-term row at y=55 agrees with the oracle to %.2e"
       % np.max(np.abs(row - oracle.row(110))))
+
+# a block of scattered rows shares one set-up of the screen
+two_ys = [params.two_y_max, 50, 130, 74, 166]
+block = ss.rows_by_threeterm(two_ys, params)
+print("block of %d scattered rows agrees with the oracle to %.2e"
+      % (len(two_ys), max(np.max(np.abs(block[:, k] - oracle.row(two_y)))
+                          for k, two_y in enumerate(two_ys))))

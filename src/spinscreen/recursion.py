@@ -3,6 +3,7 @@ inverse iteration at the closed-form lambda(y), and the two-dimensional
 five-term cross recursion; SCREEN_METHODS names every screen builder."""
 
 import decimal
+import functools
 import math
 from dataclasses import dataclass
 from decimal import Decimal
@@ -19,6 +20,9 @@ from .spins import ScreenParams
 _SOLVES = 3
 _START_SEED = 0
 _SHIFT_NUDGE = 1e-13
+# screens whose row set-up is kept, least recently used dropped first; at
+# side 2001 a set-up holds about 64 kB of arrays
+_SETUP_CACHE = 8
 
 
 @dataclass
@@ -164,12 +168,25 @@ def _start_vector(n):
     return start
 
 
-def _inverse_iteration(coeffs: TridiagCoeffs, iy, start):
+@functools.lru_cache(maxsize=_SETUP_CACHE)
+def _row_setup(params: ScreenParams):
+    """What every threeterm row of a screen shares, built once per screen:
+    its TridiagCoeffs, the padded start vector and the spectral scale
+    max(1, max|lambda|), all read-only.  The shift is not kept: it is taken
+    from _SHIFT_NUDGE at each solve."""
+    coeffs = tridiag_coeffs(params)
+    start = _start_vector(params.side)
+    for array in (coeffs.p_plus, coeffs.w, coeffs.lam, start):
+        array.setflags(write=False)
+    return coeffs, start, max(1.0, float(np.max(np.abs(coeffs.lam))))
+
+
+def _inverse_iteration(coeffs: TridiagCoeffs, iy, start, scale):
     """Row iy of U up to its sign, by inverse iteration from
-    _start_vector's start (see row_by_threeterm)."""
+    _start_vector's start, the shift nudged by scale (see
+    rows_by_threeterm)."""
     n = len(coeffs.w)
-    lam_y = coeffs.lam[iy]
-    shift = lam_y + _SHIFT_NUDGE * max(1.0, float(np.max(np.abs(coeffs.lam))))
+    shift = coeffs.lam[iy] + _SHIFT_NUDGE * scale
     factors = _shifted_lu(coeffs, 0, shift,
                           "two_y=%d" % (coeffs.params.two_y_min + 2 * iy))
     row = start
@@ -179,40 +196,57 @@ def _inverse_iteration(coeffs: TridiagCoeffs, iy, start):
     return row[:n]
 
 
-def row_by_threeterm(two_y, params: ScreenParams):
-    """One row of U by inverse iteration at the closed-form lambda(y).
+def _solve_rows(params: ScreenParams, iys, laps: Laps):
+    """The (n, k) block of rows iys of U, each anchored to the
+    stretched-boundary sign, with the set-up, the solves and the anchor
+    timed as the stages coeffs, solve and anchor."""
+    coeffs, start, scale = _row_setup(params)
+    laps.lap("coeffs")
+    block = np.empty((params.side, len(iys)))
+    for k, iy in enumerate(iys):
+        block[:, k] = _inverse_iteration(coeffs, iy, start, scale)
+    laps.lap("solve")
+    for k, iy in enumerate(iys):
+        if _anchor_sign(coeffs, coeffs.lam[iy], block[:, k]) < 0:
+            block[:, k] = -block[:, k]
+    laps.lap("anchor")
+    return block
 
-    The tridiagonal matrix shifted by lambda(y) is factored once (one LAPACK
-    dgttrf) and solved _SOLVES times from a fixed seeded start vector (dgttrs,
-    O(n) each).  The shift is nudged off lambda(y) by _SHIFT_NUDGE times the
-    spectral scale: integer coefficients otherwise make the shifted matrix
-    exactly singular.  The result has unit sum of squares and the
-    eigensolver's stretched-boundary sign.  A two_y off the y lattice raises
-    OutOfRange.
+
+def rows_by_threeterm(two_ys, params: ScreenParams):
+    """The rows two_ys of U, in that order, as the columns of a fresh (n, k)
+    block, by inverse iteration at the closed-form lambda(y).
+
+    The tridiagonal matrix shifted by lambda(y) is factored once per row
+    (one LAPACK dgttrf) and solved _SOLVES times from a fixed seeded start
+    vector (dgttrs, O(n) each).  The shift is nudged off lambda(y) by
+    _SHIFT_NUDGE times the spectral scale: integer coefficients otherwise
+    make the shifted matrix exactly singular.  Each row has unit sum of
+    squares and the eigensolver's stretched-boundary sign.  The
+    coefficients, start vector and scale are built once per screen and
+    shared by every row, block and screen of it.  Every two_y is checked
+    before any solve: one off the y lattice raises OutOfRange.
     """
-    if not params.contains(params.two_x_min, two_y):
-        raise OutOfRange("two_y=%d is not a lattice row" % two_y)
-    coeffs = tridiag_coeffs(params)
-    iy = params.y_index(two_y)
-    row = _inverse_iteration(coeffs, iy, _start_vector(params.side))
-    return row * _anchor_sign(coeffs, coeffs.lam[iy], row)
+    for two_y in two_ys:
+        if not params.contains(params.two_x_min, two_y):
+            raise OutOfRange("two_y=%d is not a lattice row" % two_y)
+    return _solve_rows(params, [params.y_index(two_y) for two_y in two_ys],
+                       Laps())
+
+
+def row_by_threeterm(two_y, params: ScreenParams):
+    """One row of U: the one-column rows_by_threeterm."""
+    return rows_by_threeterm((two_y,), params)[:, 0]
 
 
 def screen_by_threeterm(params: ScreenParams):
-    """Screen of the rows of row_by_threeterm, one per y, with the solves
+    """Screen of the rows of rows_by_threeterm, one per y, with the solves
     and the sign anchor timed as separate stages."""
     laps = Laps()
-    coeffs = tridiag_coeffs(params)
-    laps.lap("coeffs")
-    start = _start_vector(params.side)
-    rows = [_inverse_iteration(coeffs, iy, start) for iy in range(params.side)]
-    laps.lap("solve")
-    values = np.column_stack([row * _anchor_sign(coeffs, lam_y, row)
-                              for row, lam_y in zip(rows, coeffs.lam)])
-    laps.lap("anchor")
+    values = _solve_rows(params, range(params.side), laps)
     screen = Screen(params=params, values=values, method="threeterm",
                     diagnostics={})
-    return _core_diagnostics(screen, laps, coeffs)
+    return _core_diagnostics(screen, laps, _row_setup(params)[0])
 
 
 def _cross_rows(params: ScreenParams, terms):

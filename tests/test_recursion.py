@@ -271,6 +271,92 @@ def test_threeterm_singular_shift_raises(monkeypatch, quad, two_y):
         ss.row_by_threeterm(two_y, ss.screen_ranges(*quad))
 
 
+def _rows_of_other_screens(count):
+    """One row of each of count small screens (2k,2k,2k,2k), whose set-ups
+    push older ones out of the cache."""
+    for k in range(1, count + 1):
+        ss.row_by_threeterm(0, ss.screen_ranges(2 * k, 2 * k, 2 * k, 2 * k))
+
+
+def test_rows_match_banded_solves_after_the_setup_cache_churns():
+    p = ss.screen_ranges(96, 43, 107, 50)
+    coeffs = tridiag_coeffs(p)
+    first = ss.rows_by_threeterm(p.y_lattice(), p)
+    _rows_of_other_screens(recursion._SETUP_CACHE + 3)
+    for iy, two_y in enumerate(p.y_lattice()):
+        row = ss.row_by_threeterm(two_y, p)
+        assert np.array_equal(row, _banded_row(coeffs, iy)), two_y
+        assert np.array_equal(row, first[:, iy]), two_y
+
+
+def test_row_then_screen_equals_screen_then_row():
+    p = ss.screen_ranges(96, 43, 107, 50)
+    two_y = int(p.y_lattice()[p.side // 2])
+    recursion._row_setup.cache_clear()
+    row_first = ss.row_by_threeterm(two_y, p)
+    screen_second = ss.screen_by_threeterm(p).values
+    recursion._row_setup.cache_clear()
+    screen_first = ss.screen_by_threeterm(p).values
+    row_second = ss.row_by_threeterm(two_y, p)
+    assert np.array_equal(row_first, row_second)
+    assert np.array_equal(screen_first, screen_second)
+    assert np.array_equal(row_first, screen_first[:, p.side // 2])
+
+
+def test_cached_setup_is_read_only_and_results_are_writable(ref_params):
+    row = ss.row_by_threeterm(ref_params.two_y_min, ref_params)
+    coeffs, start, _ = recursion._row_setup(ref_params)
+    for array in (coeffs.w, coeffs.p_plus, coeffs.lam, start):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    row[0] = 1.0
+    ss.rows_by_threeterm([ref_params.two_y_min], ref_params)[0, 0] = 1.0
+    tridiag_coeffs(ref_params).w[0] = 1.0
+    assert np.array_equal(ss.row_by_threeterm(ref_params.two_y_min, ref_params),
+                          _banded_row(tridiag_coeffs(ref_params), 0))
+
+
+def test_setup_cache_is_bounded():
+    _rows_of_other_screens(20)
+    info = recursion._row_setup.cache_info()
+    assert info.maxsize == recursion._SETUP_CACHE == 8
+    assert info.currsize <= info.maxsize
+
+
+def test_singular_shift_raises_with_a_cached_setup(monkeypatch):
+    # the set-up keeps the spectral scale, never the shift
+    p = ss.screen_ranges(3, 3, 3, 3)
+    ss.row_by_threeterm(0, p)
+    monkeypatch.setattr(recursion, "_SHIFT_NUDGE", 0.0)
+    with pytest.raises(ss.ConvergenceFailure, match="two_y=0:"):
+        ss.row_by_threeterm(0, p)
+
+
+def test_row_block_stacks_the_rows_in_the_callers_order(big_params):
+    lo, hi = big_params.two_y_min, big_params.two_y_max
+    mid = int(big_params.y_lattice()[big_params.side // 3])
+    two_ys = [hi, lo, mid, lo, mid]
+    block = ss.rows_by_threeterm(two_ys, big_params)
+    assert block.shape == (big_params.side, len(two_ys))
+    assert np.array_equal(block, np.column_stack(
+        [ss.row_by_threeterm(two_y, big_params) for two_y in two_ys]))
+    assert ss.rows_by_threeterm([], big_params).shape == (big_params.side, 0)
+
+
+@pytest.mark.parametrize("two_y", [48, 51, 172])
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_row_block_off_the_lattice_raises_before_any_solve(
+        monkeypatch, ref_params, two_y, where):
+    solves = []
+    monkeypatch.setattr(recursion, "_inverse_iteration",
+                        lambda *args: solves.append(args))
+    two_ys = [ref_params.two_y_min, ref_params.two_y_max]
+    two_ys.insert(where, two_y)
+    with pytest.raises(ss.OutOfRange, match="two_y=%d " % two_y):
+        ss.rows_by_threeterm(two_ys, ref_params)
+    assert solves == []
+
+
 # two_y_min - 2, an odd two_y between rows and two_y_max + 2 of
 # (60,90,120,110): the first two wrapped to a wrong row, the last raised
 # IndexError
