@@ -124,6 +124,12 @@ def _print_results(results):
             r.value, r.threshold, r.detail))
 
 
+def _write_report(results, path):
+    with open(path, "w") as fh:
+        json.dump(verify.results_report(results), fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 def cmd_verify(args):
     params = _params_from(args)
     if params is None:
@@ -137,10 +143,7 @@ def cmd_verify(args):
         return 2
     _print_results(results)
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(verify.results_report(results), fh, indent=1,
-                      sort_keys=True)
-            fh.write("\n")
+        _write_report(results, args.report)
         print("report written to %s" % args.report)
     return 0 if all(r.passed for r in results) else 1
 
@@ -160,10 +163,7 @@ def cmd_ninej_check(args):
         return 2
     _print_results(results)
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(verify.results_report(results), fh, indent=1,
-                      sort_keys=True)
-            fh.write("\n")
+        _write_report(results, args.report)
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFace, NegativeRadicand
+from .errors import DegenerateFace, NegativeRadicand, OutOfRange
 from .spins import ScreenParams
 
 
@@ -36,9 +36,17 @@ class Tetrahedron:
 
     @classmethod
     def from_two_j(cls, params: ScreenParams, two_x, two_y):
+        """Edges at (two_x, two_y); array arguments broadcast, so
+        (x_lattice()[:, None], two_ys[None, :]) gives rows of a screen."""
         ta, tb, tc, td = params.as_tuple()
         return cls(edge_length(ta), edge_length(tb), edge_length(tc),
                    edge_length(td), edge_length(two_x), edge_length(two_y))
+
+
+def _whole_lattice(params: ScreenParams):
+    """The broadcasting tetrahedron of every lattice point, shape (nx, ny)."""
+    return Tetrahedron.from_two_j(params, params.x_lattice()[:, None],
+                                  params.y_lattice()[None, :])
 
 
 def heron_area(A, B, C):
@@ -104,9 +112,31 @@ class CausticData:
     x_ridge: np.ndarray
 
 
-def _ridge_numerator(A2, B2, C2, D2, X2):
-    """2 X^2 times the squared ridge Y^2 at fixed X (the dV^2/dY^2 = 0 root)."""
-    return (A2 - B2) * (C2 - D2) + (A2 + B2 + C2 + D2) * X2 - X2 * X2
+def _ridge_terms(t: Tetrahedron):
+    """X^2, 2 X^2 times the squared ridge Y^2 at fixed X (the dV^2/dY^2 = 0
+    root) and lambda_AB lambda_CD, broadcasting over the edges of t."""
+    A2, B2, C2, D2 = t.A * t.A, t.B * t.B, t.C * t.C, t.D * t.D
+    X2 = np.square(t.X)
+    return (X2, (A2 - B2) * (C2 - D2) + (A2 + B2 + C2 + D2) * X2 - X2 * X2,
+            lambda_quartic(t.A, t.B, t.X) * lambda_quartic(t.C, t.D, t.X))
+
+
+def _volume_sq(t: Tetrahedron):
+    """Broadcasting squared volume, the Cayley-Menger determinant expanded
+    as a quadratic in Y^2 at fixed X:
+
+        288 V^2 = -2 X^2 Y^4 + 2 [ridge numerator] Y^2 + c0,
+
+    with c0 fixed by 288 V^2 = lambda_AB lambda_CD / (2 X^2) at the ridge.
+    NaN where X = 0.
+    """
+    X2, ridge_num, lam_prod = _ridge_terms(t)
+    Y2 = t.Y * t.Y
+    c2 = -2.0 * X2
+    c1 = 2.0 * ridge_num
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c0 = lam_prod / (2.0 * X2) + c1 ** 2 / (4.0 * c2)
+    return (c2 * Y2 ** 2 + c1 * Y2 + c0) / 288.0
 
 
 def ridges_and_caustics(params: ScreenParams):
@@ -116,29 +146,24 @@ def ridges_and_caustics(params: ScreenParams):
     closed-form roots, ridge -+ sqrt(lambda_AB lambda_CD) / (2 X^2), with no
     iterative refinement.
     """
-    A, B, C, D = (edge_length(t) for t in params.as_tuple())
-    A2, B2, C2, D2 = A * A, B * B, C * C, D * D
-    X = np.linspace(edge_length(params.two_x_min), edge_length(params.two_x_max),
-                    params.side)
-    Y = np.linspace(edge_length(params.two_y_min), edge_length(params.two_y_max),
-                    params.side)
-    X2s = X * X
+    t = Tetrahedron.from_two_j(params, params.x_lattice(), params.y_lattice())
+    X2s, ridge_num, lam_prod = _ridge_terms(t)
+    # the x ridge at fixed Y is the y ridge with (B, X) and (D, Y) exchanged
+    Y2s, x_ridge_num, _ = _ridge_terms(Tetrahedron(t.A, t.D, t.C, t.B, t.Y, t.X))
     with np.errstate(invalid="ignore"):
-        y_ridge_sq = _ridge_numerator(A2, B2, C2, D2, X2s) / (2 * X2s)
-        lam_prod = lambda_quartic(A, B, X) * lambda_quartic(C, D, X)
+        y_ridge_sq = ridge_num / (2 * X2s)
         root = np.sqrt(np.where(lam_prod >= 0, lam_prod, np.nan))
-        v_max = root / (24 * X)
+        v_max = root / (24 * t.X)
         y_lo_sq = y_ridge_sq - root / (2 * X2s)
         y_hi_sq = y_ridge_sq + root / (2 * X2s)
         y_ridge = np.sqrt(np.where(y_ridge_sq >= 0, y_ridge_sq, np.nan))
         y_lo = np.sqrt(np.where(y_lo_sq >= 0, y_lo_sq, np.nan))
         y_hi = np.sqrt(np.where(y_hi_sq >= 0, y_hi_sq, np.nan))
-        Y2s = Y * Y
-        x_ridge_sq = _ridge_numerator(A2, D2, C2, B2, Y2s) / (2 * Y2s)
+        x_ridge_sq = x_ridge_num / (2 * Y2s)
         x_ridge = np.sqrt(np.where(x_ridge_sq >= 0, x_ridge_sq, np.nan))
-    return CausticData(params=params, x_samples=X, y_ridge=y_ridge, v_max=v_max,
+    return CausticData(params=params, x_samples=t.X, y_ridge=y_ridge, v_max=v_max,
                        y_caustic_lower=y_lo, y_caustic_upper=y_hi,
-                       y_samples=Y, x_ridge=x_ridge)
+                       y_samples=t.Y, x_ridge=x_ridge)
 
 
 def _xprime_sq(X, mode):
@@ -149,9 +174,11 @@ def _xprime_sq(X, mode):
     raise ValueError("xprime_mode must be 'shifted' or 'plain'")
 
 
-def _cos_theta3(A2, B2, C2, D2, Xp2, Y2):
+def _cos_theta3(t: Tetrahedron, xprime_mode):
     """Broadcasting cos(theta3) from the bilinear form; NaN where a face at
     edge X' degenerates."""
+    A2, B2, C2, D2 = t.A * t.A, t.B * t.B, t.C * t.C, t.D * t.D
+    Xp2, Y2 = _xprime_sq(t.X, xprime_mode), t.Y * t.Y
     f1sq = _area_sq(Xp2, A2, B2)
     f2sq = _area_sq(Xp2, C2, D2)
     num = (2 * Xp2 * Y2 - Xp2 * (-Xp2 + D2 + C2)
@@ -165,8 +192,7 @@ def _cos_theta3(A2, B2, C2, D2, Xp2, Y2):
 def cos_theta3(t: Tetrahedron, xprime_mode="shifted"):
     """Cosine at edge X from the bilinear form; may exceed 1 in magnitude
     outside the classical region (that is the forbidden-zone signal)."""
-    c = float(_cos_theta3(t.A * t.A, t.B * t.B, t.C * t.C, t.D * t.D,
-                          _xprime_sq(t.X, xprime_mode), t.Y * t.Y))
+    c = float(_cos_theta3(t, xprime_mode))
     if math.isnan(c):
         raise DegenerateFace("face area vanishes at edge X' (mode %s)" % xprime_mode)
     return c
@@ -201,31 +227,12 @@ def cos_theta3_grid(params: ScreenParams, xprime_mode="plain"):
 
     NaN where a face degenerates; magnitudes above 1 mark forbidden points.
     """
-    A, B, C, D = (edge_length(t) for t in params.as_tuple())
-    X = edge_length(params.x_lattice())
-    Y = edge_length(params.y_lattice())
-    return _cos_theta3(A * A, B * B, C * C, D * D,
-                       _xprime_sq(X, xprime_mode)[:, None], (Y * Y)[None, :])
+    return _cos_theta3(_whole_lattice(params), xprime_mode)
 
 
 def volume_sq_grid(params: ScreenParams):
     """Vectorized squared volume over the whole lattice, shape (nx, ny)."""
-    A, B, C, D = (edge_length(t) for t in params.as_tuple())
-    X = edge_length(params.x_lattice())
-    Y = edge_length(params.y_lattice())
-    A2, B2, C2, D2 = A * A, B * B, C * C, D * D
-    X2 = X * X
-    Y2 = Y * Y
-    # Cayley-Menger expanded: V^2 as quadratic in Y^2 at fixed X^2
-    #   288 V^2 = -2 X^2 Y^4 + 2 [ridge numerator] Y^2 + c0
-    c2 = -2.0 * X2
-    c1 = 2.0 * _ridge_numerator(A2, B2, C2, D2, X2)
-    # at the ridge Y^2 = -c1/(2 c2), 288 V^2 = lamAB*lamCD/(2X^2); solve c0
-    c0 = (lambda_quartic(A, B, X) * lambda_quartic(C, D, X) / (2.0 * X2)
-          + c1 ** 2 / (4.0 * c2))
-    out = (c2[:, None] * Y2[None, :] ** 2 + c1[:, None] * Y2[None, :]
-           + c0[:, None]) / 288.0
-    return out
+    return _volume_sq(_whole_lattice(params))
 
 
 @dataclass
@@ -324,11 +331,17 @@ def f_transform(u_row, params: ScreenParams, two_y):
 
 
 def f_residual(f_values, params: ScreenParams, two_y):
-    """Residual of the finite-difference equation [D2 + 2 - 2cos(theta3)] f."""
-    c3 = cos_theta3_grid(params, "plain")[:, params.y_index(two_y)]
-    res = np.full(len(f_values), np.nan)
-    for k in range(1, len(f_values) - 1):
-        trio = f_values[k - 1:k + 2]
-        if np.isfinite(trio).all() and np.isfinite(c3[k]):
-            res[k] = trio[2] - 2 * c3[k] * trio[1] + trio[0]
+    """Residual of the finite-difference equation [D2 + 2 - 2cos(theta3)] f.
+
+    NaN at the two ends and wherever f or cos(theta3) is not finite.
+    """
+    if not params.contains(params.two_x_min, two_y):
+        raise OutOfRange("two_y=%d is not a lattice row" % two_y)
+    c3 = _cos_theta3(Tetrahedron.from_two_j(params, params.x_lattice(), two_y),
+                     "plain")
+    f = np.asarray(f_values, dtype=float)
+    finite = np.isfinite(f)
+    good = finite[:-2] & finite[1:-1] & finite[2:] & np.isfinite(c3[1:-1])
+    res = np.full(len(f), np.nan)
+    res[1:-1][good] = (f[2:] - 2 * c3[1:-1] * f[1:-1] + f[:-2])[good]
     return res

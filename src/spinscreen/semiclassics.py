@@ -11,14 +11,14 @@ import numpy as np
 from . import geometry, recursion
 from .errors import (CausticProximityWarning, NoClassicalWindow, OutOfRange,
                      OutsideDomain)
-from .geometry import Tetrahedron, edge_length
+from .geometry import Tetrahedron
 from .spins import ScreenParams
 
 
 def local_momentum(two_x, two_y, params: ScreenParams):
     """Lattice momentum p = sqrt(2 - 2 cos(theta3)), nonnegative branch."""
     t = Tetrahedron.from_two_j(params, two_x, two_y)
-    if geometry.volume_sq(t) < 0:
+    if geometry._volume_sq(t) < 0:
         raise OutsideDomain("(%d,%d) is classically forbidden" % (two_x, two_y))
     c3 = geometry.cos_theta3(t, "plain")
     return math.sqrt(max(2.0 - 2.0 * min(c3, 1.0), 0.0))
@@ -40,9 +40,9 @@ def bohr_sommerfeld(two_y, params: ScreenParams):
     """
     if not params.contains(params.two_x_min, two_y):
         raise OutOfRange("two_y=%d is not a lattice row" % two_y)
-    iy = params.y_index(two_y)
-    c3 = geometry.cos_theta3_grid(params, "plain")[:, iy]
-    xs = edge_length(params.x_lattice())
+    t = Tetrahedron.from_two_j(params, params.x_lattice(), two_y)
+    c3 = geometry._cos_theta3(t, "plain")
+    xs = t.X
     inside = np.isfinite(c3) & (np.abs(c3) <= 1.0)
     if not inside.any():
         raise NoClassicalWindow("row two_y=%d has no classical points" % two_y)
@@ -112,31 +112,31 @@ def _edge_angles(t: Tetrahedron, v):
         yield edge, length, np.arctan2(sin_e, cos_e), cos_e
 
 
-def _classical_volume(t: Tetrahedron):
-    """V at a classically allowed point; OutsideDomain elsewhere."""
-    v2 = geometry.volume_sq(t)
-    if v2 <= 0:
-        raise OutsideDomain("volume squared is not positive")
-    return math.sqrt(v2)
-
-
 def dihedral_angles(t: Tetrahedron):
     """All six angles; sine from the volume relation, cosine sign from the
     edge-permuted bilinear form.  Requires a classically allowed point."""
+    v2 = geometry._volume_sq(t)
+    if not v2 > 0:
+        raise OutsideDomain("volume squared is not positive")
     angles = {edge: float(angle)
-              for edge, _, angle, _ in _edge_angles(t, _classical_volume(t))}
+              for edge, _, angle, _ in _edge_angles(t, math.sqrt(v2))}
     return DihedralAngles(theta1=angles["A"], theta2=angles["B"],
                           theta3=angles["X"], eta1=angles["C"],
                           eta2=angles["D"], eta3=angles["Y"])
 
 
+def _pr_point(two_x, two_y, params: ScreenParams):
+    """The _pr_grid entries at one lattice point; OutsideDomain unless V^2 > 0."""
+    entries = _pr_grid(Tetrahedron.from_two_j(params, two_x, two_y))
+    if not entries[4]:
+        raise OutsideDomain("(%d,%d) is outside the classical region"
+                            % (two_x, two_y))
+    return entries
+
+
 def pr_phase(two_x, two_y, params: ScreenParams):
     """Stationary phase: pi/4 plus the sum of edge * angle over all six edges."""
-    t = Tetrahedron.from_two_j(params, two_x, two_y)
-    phase = math.pi / 4
-    for _, length, angle, _ in _edge_angles(t, _classical_volume(t)):
-        phase += length * angle
-    return float(phase)
+    return float(_pr_point(two_x, two_y, params)[1])
 
 
 def pr_amplitude(two_x, two_y, params: ScreenParams):
@@ -145,17 +145,11 @@ def pr_amplitude(two_x, two_y, params: ScreenParams):
     Multiply by sqrt((2x+1)(2y+1)) for the orthonormal-form estimate.  Emits
     CausticProximityWarning when |cos(theta3)| > 0.9.
     """
-    t = Tetrahedron.from_two_j(params, two_x, two_y)
-    v2 = geometry.volume_sq(t)
-    if v2 <= 0:
-        raise OutsideDomain("(%d,%d) is outside the classical region"
-                            % (two_x, two_y))
-    c3 = geometry.cos_theta3(t, "plain")
-    if abs(c3) > 0.9:
+    est, _, cos_x, _, _ = _pr_point(two_x, two_y, params)
+    if abs(cos_x) > 0.9:
         warnings.warn("point (%d,%d) is close to a caustic" % (two_x, two_y),
                       CausticProximityWarning, stacklevel=2)
-    return math.cos(pr_phase(two_x, two_y, params)) \
-        / math.sqrt(12 * math.pi * math.sqrt(v2))
+    return float(est)
 
 
 @dataclass
@@ -173,23 +167,23 @@ class PRComparison:
     summary: dict
 
 
-def _pr_grid(params: ScreenParams):
-    """Vectorized PR estimate of the plain 6j over the classical region."""
-    A, B, C, D = (edge_length(t) for t in params.as_tuple())
-    X = edge_length(params.x_lattice())
-    Y = edge_length(params.y_lattice())
-    v2 = geometry.volume_sq_grid(params)
+def _pr_grid(t: Tetrahedron):
+    """Broadcasting PR estimate of the plain 6j over the edges of t.
+
+    Returns (estimate, phase, cos(theta3), V, classical); estimate, phase
+    and V are NaN where V^2 <= 0, the classically forbidden points.
+    """
+    v2 = geometry._volume_sq(t)
     classical = v2 > 0
     v = np.sqrt(np.where(classical, v2, np.nan))
-    phase = np.full(v2.shape, math.pi / 4)
+    phase = np.full(np.shape(v2), math.pi / 4)
     with np.errstate(invalid="ignore", divide="ignore"):
-        for edge, length, angle, cos_e in _edge_angles(
-                Tetrahedron(A, B, C, D, X[:, None], Y[None, :]), v):
+        for edge, length, angle, cos_e in _edge_angles(t, v):
             if edge == "X":
                 cos_x = cos_e
             phase += length * angle
         est = np.cos(phase) / np.sqrt(12 * math.pi * v)
-    return est, cos_x, v, classical
+    return est, phase, cos_x, v, classical
 
 
 def pr_compare(params: ScreenParams, reference=None):
@@ -205,7 +199,10 @@ def pr_compare(params: ScreenParams, reference=None):
     """
     if reference is None:
         reference = recursion.screen_by_eigensolve(params)
-    est, cos_x, v, classical = _pr_grid(params)
+    elif reference.params != params:
+        raise ValueError("reference screen has parameters %s, not %s"
+                         % (reference.params.as_tuple(), params.as_tuple()))
+    est, _, cos_x, v, classical = _pr_grid(geometry._whole_lattice(params))
     xs = params.x_lattice()
     ys = params.y_lattice()
     norm = np.sqrt((xs[:, None] + 1.0) * (ys[None, :] + 1.0))

@@ -60,14 +60,25 @@ def test_cayley_menger_vs_gramian_and_coordinates():
         assert abs(v_cm - v_coord) <= 1e-9 * max(1.0, scale)
 
 
-def test_volume_grid_matches_scalar(ref_params):
-    grid = volume_sq_grid(ref_params)
-    xs, ys = ref_params.x_lattice(), ref_params.y_lattice()
-    for i in range(0, ref_params.side, 9):
-        for j in range(0, ref_params.side, 9):
-            t = Tetrahedron.from_two_j(ref_params, int(xs[i]), int(ys[j]))
-            assert grid[i, j] == pytest.approx(ss.volume_sq(t), rel=1e-10,
-                                               abs=1e-4)
+def test_volume_grid_matches_scalar(ref_params, big_params):
+    # the closed-form quadratic in Y^2 against the 5x5 Cayley-Menger
+    # determinant: the same sign at every point, so the classical region
+    # does not depend on the route
+    from conftest import random_valid_quadruple
+    rng = random.Random(13)
+    screens = [(ref_params, 1), (big_params, 6)]
+    screens += [(random_valid_quadruple(rng, two_j_max=80), 1) for _ in range(30)]
+    n_point = 0
+    for p, stride in screens:
+        grid = volume_sq_grid(p)
+        xs, ys = p.x_lattice()[::stride], p.y_lattice()[::stride]
+        five = np.array([[ss.volume_sq(Tetrahedron.from_two_j(p, int(tx), int(ty)))
+                          for ty in ys] for tx in xs])
+        closed = grid[::stride, ::stride]
+        assert np.array_equal(np.sign(closed), np.sign(five))
+        assert np.max(np.abs(closed - five)) <= 1e-12 * np.max(np.abs(five))
+        n_point += five.size
+    assert n_point > 20000
 
 
 def test_ridge_symmetric_case():
@@ -318,6 +329,42 @@ def test_f_transform_residual_big_params(big_params, big_eig):
     sel = np.isfinite(res) & (np.abs(c3) <= 0.5) & inset
     assert sel.any()
     assert np.nanmax(np.abs(res[sel])) <= 0.02 * np.nanmax(np.abs(f))
+
+
+def _f_residual_by_loop(f_values, params, two_y):
+    """Reference: the residual read from one column of the (n, n) grid."""
+    c3 = ss.cos_theta3_grid(params, "plain")[:, params.y_index(two_y)]
+    res = np.full(len(f_values), np.nan)
+    for k in range(1, len(f_values) - 1):
+        trio = f_values[k - 1:k + 2]
+        if np.isfinite(trio).all() and np.isfinite(c3[k]):
+            res[k] = trio[2] - 2 * c3[k] * trio[1] + trio[0]
+    return res
+
+
+def test_f_residual_equals_the_grid_column_route(ref_params, ref_eig):
+    from conftest import random_valid_quadruple
+    rng = np.random.default_rng(19)
+    cases = [(ref_params, int(ty), ss.f_transform(ref_eig.values[:, iy], ref_params, ty))
+             for iy, ty in enumerate(ref_params.y_lattice())]
+    prng = random.Random(19)
+    for _ in range(30):
+        p = random_valid_quadruple(prng, two_j_max=60)
+        for ty in p.y_lattice():
+            f = rng.standard_normal(p.side)
+            f[rng.random(p.side) < 0.1] = np.nan
+            cases.append((p, int(ty), f))
+    for p, ty, f in cases:
+        assert np.array_equal(f_residual(f, p, ty), _f_residual_by_loop(f, p, ty),
+                              equal_nan=True)
+
+
+@pytest.mark.parametrize("shift", [-2, 1, "past-max"])
+def test_f_residual_off_lattice_row(ref_params, shift):
+    two_y = (ref_params.two_y_max + 2 if shift == "past-max"
+             else ref_params.two_y_min + shift)
+    with pytest.raises(ss.OutOfRange):
+        f_residual(np.zeros(ref_params.side), ref_params, two_y)
 
 
 def test_f_transform_finite_at_caustic(ref_params, ref_eig):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import spinscreen as ss
-from spinscreen.geometry import Tetrahedron, volume_sq_grid
+from spinscreen.geometry import Tetrahedron, _whole_lattice, volume_sq_grid
 from spinscreen.semiclassics import _pr_grid
 
 
@@ -96,6 +96,9 @@ def test_dihedral_outside_domain(ref_params):
     t = Tetrahedron.from_two_j(ref_params, ref_params.two_x_min, ref_params.two_y_max)
     with pytest.raises(ss.OutsideDomain):
         ss.dihedral_angles(t)
+    # X = 0: the closed-form volume divides by X^2
+    with pytest.raises(ss.OutsideDomain):
+        ss.dihedral_angles(Tetrahedron(1, 1, 1, 1, 0, 1))
 
 
 def test_pr_amplitude_envelope_bound(ref_params):
@@ -147,20 +150,19 @@ def test_pr_amplitude_outside_domain(ref_params):
 
 
 def test_pr_grid_matches_scalar(ref_params):
-    est, cosx, v, classical = _pr_grid(ref_params)
+    # the one-point view reads the grid entry of its own lattice point; the
+    # scalar and vectorized arctan2 may differ in the last bit of an angle,
+    # which moves the phase by a few of its ulps and the estimate by as
+    # much in envelope units
+    est, phase, _, v, classical = _pr_grid(_whole_lattice(ref_params))
     xs, ys = ref_params.x_lattice(), ref_params.y_lattice()
-    rng = random.Random(11)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ss.CausticProximityWarning)
-        found = 0
-        while found < 30:
-            i = rng.randrange(ref_params.side)
-            j = rng.randrange(ref_params.side)
-            if not classical[i, j]:
-                continue
-            assert est[i, j] == pytest.approx(
-                ss.pr_amplitude(int(xs[i]), int(ys[j]), ref_params), abs=1e-14)
-            found += 1
+        for i, j in zip(*np.nonzero(classical)):
+            amp = ss.pr_amplitude(int(xs[i]), int(ys[j]), ref_params)
+            assert abs(amp - est[i, j]) * math.sqrt(12 * math.pi * v[i, j]) \
+                <= 4 * np.finfo(float).eps * phase[i, j]
+    assert np.count_nonzero(classical) > 1000
 
 
 def test_pr_compare_ref_params(ref_params, ref_oracle):
@@ -176,12 +178,20 @@ def test_pr_compare_ref_params(ref_params, ref_oracle):
     assert (cmp.classical | np.isnan(cmp.rel_error)).all()
 
 
+def test_pr_compare_rejects_a_reference_of_other_parameters(ref_params):
+    other = ss.screen_by_eigensolve(ss.screen_ranges(60, 90, 110, 120))
+    assert other.params.side == ref_params.side
+    with pytest.raises(ValueError,
+                       match=r"\(60, 90, 110, 120\).*\(60, 90, 120, 110\)"):
+        ss.pr_compare(ref_params, reference=other)
+
+
 def test_pr_regge_invariance(ref_params):
     conj = ss.screen_ranges(*ss.regge_conjugate(*ref_params.as_tuple()))
-    a = _pr_grid(ref_params)
-    b = _pr_grid(conj)
-    mask = a[3] & b[3]
-    assert np.array_equal(a[3], b[3])
+    a = _pr_grid(_whole_lattice(ref_params))
+    b = _pr_grid(_whole_lattice(conj))
+    mask = a[4] & b[4]
+    assert np.array_equal(a[4], b[4])
     assert np.max(np.abs(a[0][mask] - b[0][mask])) < 1e-10
 
 
@@ -221,6 +231,46 @@ def test_bohr_sommerfeld_ladder_big_params(big_params):
         if prev is not None:
             assert 0.9 <= n_est - prev <= 1.1
         prev = n_est
+
+
+def _bohr_sommerfeld_by_column(two_y, params):
+    """Reference: the action read from one column of the (n, n) grid."""
+    c3 = ss.cos_theta3_grid(params, "plain")[:, params.y_index(two_y)]
+    xs = ss.edge_length(params.x_lattice())
+    idx = np.flatnonzero(np.isfinite(c3) & (np.abs(c3) <= 1.0))
+    if not idx.size:
+        return None
+    i0, i1 = int(idx[0]), int(idx[-1])
+    k = math.pi - np.arccos(np.clip(c3[i0:i1 + 1], -1.0, 1.0))
+    action = float(np.trapezoid(k, xs[i0:i1 + 1])) if i1 > i0 else 0.0
+    for edge, step in ((i0, -1), (i1, +1)):
+        nb = edge + step
+        if 0 <= nb < len(xs) and np.isfinite(c3[nb]) and abs(c3[nb]) > 1.0:
+            target = 1.0 if c3[nb] > 1.0 else -1.0
+            frac = (target - c3[edge]) / (c3[nb] - c3[edge])
+            k_star = math.pi if target > 0 else 0.0
+            action += abs(frac) * 0.5 * (k[edge - i0] + k_star)
+    return 2.0 * action
+
+
+def test_bohr_sommerfeld_equals_the_grid_column_route(ref_params, big_params):
+    from conftest import random_valid_quadruple
+    rng = random.Random(17)
+    screens = [(ref_params, ref_params.y_lattice()),
+               (big_params, big_params.y_lattice()[::30])]
+    for _ in range(30):
+        p = random_valid_quadruple(rng, two_j_max=60)
+        screens.append((p, p.y_lattice()))
+    n_row = 0
+    for p, two_ys in screens:
+        for ty in two_ys:
+            try:
+                action = ss.bohr_sommerfeld(int(ty), p).action
+            except ss.NoClassicalWindow:
+                action = None
+            assert action == _bohr_sommerfeld_by_column(int(ty), p)
+            n_row += action is not None
+    assert n_row > 200
 
 
 def test_bohr_sommerfeld_off_lattice_row(ref_params):
