@@ -317,8 +317,11 @@ def f_transform(u_row, params: ScreenParams, two_y):
     """Wavefunction transform f(X) = sqrt(F(X,A,B) F(X,C,D))/X * U(x,y).
 
     The area form stays finite on caustics (the volume form diverges there).
-    Points outside the geometric domain become NaN.
+    Points outside the geometric domain become NaN.  A two_y off the y
+    lattice raises OutOfRange.
     """
+    if not params.contains(params.two_x_min, two_y):
+        raise OutOfRange("two_y=%d is not a lattice row" % two_y)
     A, B, C, D = (edge_length(t) for t in params.as_tuple())
     X = edge_length(params.x_lattice())
     f1sq = _area_sq(X * X, A * A, B * B)

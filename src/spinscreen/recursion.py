@@ -7,6 +7,7 @@ import functools
 import math
 from dataclasses import dataclass
 from decimal import Decimal
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -21,8 +22,11 @@ _SOLVES = 3
 _START_SEED = 0
 _SHIFT_NUDGE = 1e-13
 # screens whose row set-up is kept, least recently used dropped first; at
-# side 2001 a set-up holds about 64 kB of arrays
+# side 2001 a set-up holds about 96 kB of arrays
 _SETUP_CACHE = 8
+# columns per panel of the three-term residual and the eigenvectors'
+# argmax: two side-2001 panels of doubles (1 MB) stay in cache
+_PANEL = 32
 
 
 @dataclass
@@ -71,26 +75,31 @@ def _stretched_sign(params: ScreenParams):
     return (-1) ** ((params.two_a + params.two_b + params.two_c + params.two_d) // 2)
 
 
-def _shifted_lu(coeffs: TridiagCoeffs, start, shift, what):
+def _shifted_lu(setup, start, shift, what):
     """dgttrf's factors (dl, d, du, du2, ipiv) of T[start:, start:] - shift.
 
-    T is the symmetric tridiagonal matrix of the three-term recursion.  The
-    block is padded with a decoupled 2x2 identity, which keeps its
-    determinant and meets the wrapper's minimum order of 3; a right-hand
-    side for dgttrs carries two zero entries to match.  A zero pivot raises
-    ConvergenceFailure, whose message begins with what.
+    T is the symmetric tridiagonal matrix of the three-term recursion of
+    setup (a _RowSetup).  The block is padded with a decoupled 2x2
+    identity, which keeps its determinant and meets the wrapper's minimum
+    order of 3; a right-hand side for dgttrs carries two zero entries to
+    match.  A zero pivot raises ConvergenceFailure, whose message begins
+    with what.
     """
-    off = np.concatenate((coeffs.p_plus[start:-1], (0.0, 0.0)))
-    diag = np.concatenate((coeffs.w[start:] - shift, (1.0, 1.0)))
+    diag = np.concatenate((setup.coeffs.w[start:] - shift, (1.0, 1.0)))
+    off = setup.off[start:]
     *factors, info = scipy.linalg.lapack.dgttrf(off, diag, off)
     if info > 0:
-        raise ConvergenceFailure("%s: T[%d:, %d:] - %r is singular (order %d)"
-                                 % (what, start, start, shift,
-                                    len(coeffs.w) - start))
+        raise _singular(what, start, shift, len(diag) - 2)
     return factors
 
 
-def _anchor_sign(coeffs: TridiagCoeffs, lam_y, vec):
+def _singular(what, start, shift, order):
+    """The ConvergenceFailure of a singular T[start:, start:] - shift."""
+    return ConvergenceFailure("%s: T[%d:, %d:] - %r is singular (order %d)"
+                              % (what, start, start, float(shift), order))
+
+
+def _anchor_sign(setup, lam_y, vec):
     """+1 or -1: the factor that gives vec the stretched-boundary sign.
 
     The backward recursion from x_max, seeded with the stretched sign s,
@@ -98,18 +107,77 @@ def _anchor_sign(coeffs: TridiagCoeffs, lam_y, vec):
     form, and p_plus > 0 on the interior.  At vec's largest entry i the
     reference sign is therefore s (-1)^m sign det(T[i+1:, i+1:] - lam) with
     m = n-1-i, read from one LAPACK tridiagonal LU (dgttrf) as the signs of
-    U's diagonal times (-1)^(row swaps).
+    U's diagonal times (-1)^(row swaps).  setup is the screen's _RowSetup.
     """
     istar = int(np.argmax(np.abs(vec)))
     m = len(vec) - 1 - istar
     parity = m
     if m > 0:
-        _, u_diag, _, _, ipiv = _shifted_lu(coeffs, istar + 1, lam_y,
+        _, u_diag, _, _, ipiv = _shifted_lu(setup, istar + 1, lam_y,
                                             "trailing block")
         parity += (np.count_nonzero(u_diag < 0)
-                   + np.count_nonzero(ipiv != np.arange(1, m + 3)))
-    sign = _stretched_sign(coeffs.params) * (-1) ** int(parity)
+                   + np.count_nonzero(ipiv != setup.pivots[:m + 2]))
+    sign = _stretched_sign(setup.coeffs.params) * (-1) ** int(parity)
     return -1.0 if vec[istar] * sign < 0 else 1.0
+
+
+def _sturm_parities(coeffs: TridiagCoeffs, lam, starts):
+    """For each j, whether det(T[s:, s:] - lam[j]) < 0, s = starts[j] in
+    1..n (s = n is the empty block, determinant 1).
+
+    One backward sweep for all j at once: r_k = (w_k - lam) - p_k^2 / r_(k+1)
+    from k = n-1 down to 1, with r_n = inf (p_(n-1) = 0), gives
+    det(T[s:, s:] - lam) = r_s ... r_(n-1), so the sign is the parity of
+    the negative r_k, k >= s: a Sturm count (Kahan 1966; LAPACK dstebz).
+    A zero r_(k+1) takes the IEEE path, r_k = -inf and r_(k-1) = w - lam,
+    which keeps the count of the pair; the sign bit counts -0 and -inf as
+    negative.  Columns are sorted by s, so those still in the sweep at step
+    k (s <= k) are a shrinking prefix.  A zero r_s itself, a singular
+    trailing block, raises ConvergenceFailure.
+    """
+    n, cols = len(coeffs.w), len(starts)
+    order = np.argsort(starts, kind="stable")
+    lam = lam[order]
+    active = np.searchsorted(starts[order], np.arange(n), side="right").tolist()
+    w, p_sq = coeffs.w.tolist(), (coeffs.p_plus ** 2).tolist()
+    r = np.full(cols, np.inf)
+    ratio = np.empty(cols)
+    negative = np.empty(cols, dtype=bool)
+    odd = np.zeros(cols, dtype=bool)
+    with np.errstate(divide="ignore"):
+        for k in range(n - 1, 0, -1):
+            a = active[k]
+            if a == 0:
+                break
+            # positional outs: the loop runs n times on short vectors
+            r_k, q, neg, odd_k = r[:a], ratio[:a], negative[:a], odd[:a]
+            np.divide(p_sq[k], r_k, q)
+            np.subtract(w[k], lam[:a], r_k)
+            np.subtract(r_k, q, r_k)
+            np.signbit(r_k, neg)
+            np.logical_xor(odd_k, neg, odd_k)
+            done = active[k - 1]
+            if done < a and not r[done:a].all():
+                zero = done + int(np.flatnonzero(r[done:a] == 0)[0])
+                raise _singular("trailing block", k, lam[zero], n - k)
+    parities = np.empty(cols, dtype=bool)
+    parities[order] = odd
+    return parities
+
+
+def _anchor_factors(coeffs: TridiagCoeffs, evals, values):
+    """_anchor_sign's factor for every column of values at once: the
+    argmax of each column, read in panels of _PANEL columns, and the sign
+    of every trailing determinant from one _sturm_parities sweep.  A row
+    block of k columns keeps _anchor_sign's k LUs: the sweep is O(n) per
+    column for any k, and was 3 times slower than one LU for one column."""
+    n = values.shape[1]
+    istar = np.empty(n, dtype=np.intp)
+    for j in range(0, n, _PANEL):
+        istar[j:j + _PANEL] = np.argmax(np.abs(values[:, j:j + _PANEL]), axis=0)
+    parity = (n - 1 - istar) + _sturm_parities(coeffs, evals, istar + 1)
+    sign = _stretched_sign(coeffs.params) * (1 - 2 * (parity % 2))
+    return np.where(values[istar, np.arange(n)] * sign < 0, -1.0, 1.0)
 
 
 def _core_diagnostics(screen: Screen, laps: Laps, coeffs: TridiagCoeffs = None):
@@ -124,8 +192,9 @@ def screen_by_eigensolve(params: ScreenParams):
 
     Eigenvalues sorted ascending are assigned to ascending y (lambda is
     monotone); each eigenvector's global sign is anchored to the exact sign
-    of the stretched boundary value U(x_max, y).  diagnostics["timings"]
-    holds the wall time of each stage in seconds.
+    of the stretched boundary value U(x_max, y), all columns by one sweep
+    (_anchor_factors).  diagnostics["timings"] holds the wall time of each
+    stage in seconds.
     """
     laps = Laps()
     coeffs = tridiag_coeffs(params)
@@ -135,9 +204,7 @@ def screen_by_eigensolve(params: ScreenParams):
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as err:
         raise ConvergenceFailure(str(err)) from err
     laps.lap("eigh")
-    for iy in range(params.side):
-        if _anchor_sign(coeffs, evals[iy], values[:, iy]) < 0:
-            values[:, iy] = -values[:, iy]
+    values *= _anchor_factors(coeffs, evals, values)
     laps.lap("anchor")
     spectrum_err = float(np.max(np.abs(evals - coeffs.lam)
                                 / np.maximum(np.abs(coeffs.lam), 1.0)))
@@ -147,17 +214,34 @@ def screen_by_eigensolve(params: ScreenParams):
 
 
 def residual_threeterm(screen: Screen, coeffs: TridiagCoeffs = None):
-    """max over interior points of |p+ U(x+1) + (w - lambda) U(x) + p- U(x-1)|."""
+    """max over interior points of |p+ U(x+1) + (w - lambda) U(x) + p- U(x-1)|.
+
+    The sum runs in panels of _PANEL columns through two buffers laid out
+    as U, in the order (p+ U(x+1) + (w - lambda) U(x)) + p- U(x-1): the
+    maximum is that of the whole (n-2, n) array, bit for bit.
+    """
     if coeffs is None:
         coeffs = tridiag_coeffs(screen.params)
     U = screen.values
     n = U.shape[0]
     if n < 3:
         return 0.0
-    res = (coeffs.p_plus[1:-1, None] * U[2:, :]
-           + (coeffs.w[1:-1, None] - coeffs.lam[None, :]) * U[1:-1, :]
-           + coeffs.p_plus[:-2, None] * U[:-2, :])
-    return float(np.max(np.abs(res)))
+    p_next, w, p_prev = (coeffs.p_plus[1:-1, None], coeffs.w[1:-1, None],
+                         coeffs.p_plus[:-2, None])
+    acc = np.empty_like(U[1:-1, :_PANEL], dtype=float)
+    term = np.empty_like(acc)
+    largest = 0.0
+    for j in range(0, U.shape[1], _PANEL):
+        cols = U[:, j:j + _PANEL]
+        a, t = acc[:, :cols.shape[1]], term[:, :cols.shape[1]]
+        np.subtract(w, coeffs.lam[None, j:j + _PANEL], out=a)
+        np.multiply(a, cols[1:-1], out=a)
+        np.multiply(p_next, cols[2:], out=t)
+        np.add(t, a, out=a)
+        np.multiply(p_prev, cols[:-2], out=t)
+        np.add(a, t, out=a)
+        largest = max(largest, float(np.max(np.abs(a, out=a))))
+    return largest
 
 
 def _start_vector(n):
@@ -168,28 +252,49 @@ def _start_vector(n):
     return start
 
 
+class _RowSetup(NamedTuple):
+    """What every threeterm row of a screen shares, all read-only: its
+    TridiagCoeffs, the off-diagonal p_plus[:-1] with _shifted_lu's two
+    padding zeros (a trailing block's is a slice of it), dgttrf's pivots
+    1..n+2 when no row is swapped, the padded start vector and the spectral
+    scale max(1, max|lambda|).  The shift is not kept: it is taken from
+    _SHIFT_NUDGE at each solve."""
+
+    coeffs: TridiagCoeffs
+    off: np.ndarray
+    pivots: np.ndarray
+    start: np.ndarray
+    scale: float
+
+
+def _setup_of(coeffs: TridiagCoeffs):
+    """The _RowSetup of coeffs, whose arrays it makes read-only."""
+    n = len(coeffs.w)
+    setup = _RowSetup(coeffs=coeffs,
+                      off=np.concatenate((coeffs.p_plus[:-1], (0.0, 0.0))),
+                      pivots=np.arange(1, n + 3), start=_start_vector(n),
+                      scale=max(1.0, float(np.max(np.abs(coeffs.lam)))))
+    for array in (coeffs.p_plus, coeffs.w, coeffs.lam, setup.off,
+                  setup.pivots, setup.start):
+        array.setflags(write=False)
+    return setup
+
+
 @functools.lru_cache(maxsize=_SETUP_CACHE)
 def _row_setup(params: ScreenParams):
-    """What every threeterm row of a screen shares, built once per screen:
-    its TridiagCoeffs, the padded start vector and the spectral scale
-    max(1, max|lambda|), all read-only.  The shift is not kept: it is taken
-    from _SHIFT_NUDGE at each solve."""
-    coeffs = tridiag_coeffs(params)
-    start = _start_vector(params.side)
-    for array in (coeffs.p_plus, coeffs.w, coeffs.lam, start):
-        array.setflags(write=False)
-    return coeffs, start, max(1.0, float(np.max(np.abs(coeffs.lam))))
+    """The screen's _RowSetup, built once per screen."""
+    return _setup_of(tridiag_coeffs(params))
 
 
-def _inverse_iteration(coeffs: TridiagCoeffs, iy, start, scale):
-    """Row iy of U up to its sign, by inverse iteration from
-    _start_vector's start, the shift nudged by scale (see
-    rows_by_threeterm)."""
+def _inverse_iteration(setup, iy):
+    """Row iy of U up to its sign, by inverse iteration from setup's start
+    vector, the shift nudged by its scale (see rows_by_threeterm)."""
+    coeffs = setup.coeffs
     n = len(coeffs.w)
-    shift = coeffs.lam[iy] + _SHIFT_NUDGE * scale
-    factors = _shifted_lu(coeffs, 0, shift,
+    shift = coeffs.lam[iy] + _SHIFT_NUDGE * setup.scale
+    factors = _shifted_lu(setup, 0, shift,
                           "two_y=%d" % (coeffs.params.two_y_min + 2 * iy))
-    row = start
+    row = setup.start
     for _ in range(_SOLVES):
         row = scipy.linalg.lapack.dgttrs(*factors, row)[0]
         row /= np.linalg.norm(row[:n])
@@ -200,14 +305,14 @@ def _solve_rows(params: ScreenParams, iys, laps: Laps):
     """The (n, k) block of rows iys of U, each anchored to the
     stretched-boundary sign, with the set-up, the solves and the anchor
     timed as the stages coeffs, solve and anchor."""
-    coeffs, start, scale = _row_setup(params)
+    setup = _row_setup(params)
     laps.lap("coeffs")
     block = np.empty((params.side, len(iys)))
     for k, iy in enumerate(iys):
-        block[:, k] = _inverse_iteration(coeffs, iy, start, scale)
+        block[:, k] = _inverse_iteration(setup, iy)
     laps.lap("solve")
     for k, iy in enumerate(iys):
-        if _anchor_sign(coeffs, coeffs.lam[iy], block[:, k]) < 0:
+        if _anchor_sign(setup, setup.coeffs.lam[iy], block[:, k]) < 0:
             block[:, k] = -block[:, k]
     laps.lap("anchor")
     return block
@@ -246,7 +351,7 @@ def screen_by_threeterm(params: ScreenParams):
     values = _solve_rows(params, range(params.side), laps)
     screen = Screen(params=params, values=values, method="threeterm",
                     diagnostics={})
-    return _core_diagnostics(screen, laps, _row_setup(params)[0])
+    return _core_diagnostics(screen, laps, _row_setup(params).coeffs)
 
 
 def _cross_rows(params: ScreenParams, terms):

@@ -367,6 +367,14 @@ def test_f_residual_off_lattice_row(ref_params, shift):
         f_residual(np.zeros(ref_params.side), ref_params, two_y)
 
 
+# two_y 48, 51, 172 and 10**6 at (60,90,120,110): all four returned finite
+# values from the row they were given
+@pytest.mark.parametrize("two_y", [48, 51, 172, 10 ** 6])
+def test_f_transform_off_lattice_row(ref_params, ref_eig, two_y):
+    with pytest.raises(ss.OutOfRange, match="two_y=%d " % two_y):
+        ss.f_transform(ref_eig.values[:, 0], ref_params, two_y)
+
+
 def test_f_transform_finite_at_caustic(ref_params, ref_eig):
     # area form stays finite where sin(theta3) -> 0
     ty = int(ref_params.y_lattice()[30])

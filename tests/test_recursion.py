@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -151,10 +152,11 @@ def test_anchor_sign_matches_backward_recursion():
             continue
         evals, vecs = scipy.linalg.eigh_tridiagonal(coeffs.w, coeffs.p_plus[:-1])
         vecs *= rng.choice((-1.0, 1.0), size=p.side)
+        setup = recursion._setup_of(coeffs)
         for iy in range(p.side):
             vec = vecs[:, iy]
             istar = int(np.argmax(np.abs(vec)))
-            factor = recursion._anchor_sign(coeffs, evals[iy], vec)
+            factor = recursion._anchor_sign(setup, evals[iy], vec)
             ref = _backward_reference_sign(coeffs, evals[iy], istar)
             assert factor == (-1.0 if vec[istar] * ref < 0 else 1.0), (p, iy)
             factors[factor] += 1
@@ -176,14 +178,99 @@ def test_anchor_argmax_entries_match_oracle(big_params, big_eig):
         assert abs(col[istar] - exact.to_real()) < 1e-11
 
 
-def test_anchor_singular_trailing_block_raises():
-    # w = 0, p_plus = 1, lambda = 0: the order-3 trailing block below the
-    # first entry is [[0,1,0],[1,0,1],[0,1,0]], exactly singular
-    coeffs = recursion.TridiagCoeffs(
+def _singular_block_coeffs():
+    """w = 0, p_plus = 1, lambda = 0: the order-3 trailing block below the
+    first entry is [[0,1,0],[1,0,1],[0,1,0]], exactly singular."""
+    return recursion.TridiagCoeffs(
         params=ss.screen_ranges(2, 2, 2, 2), p_plus=np.array([1.0, 1.0, 1.0, 0.0]),
         w=np.zeros(4), lam=np.zeros(4))
+
+
+def test_anchor_singular_trailing_block_raises():
+    setup = recursion._setup_of(_singular_block_coeffs())
     with pytest.raises(ss.ConvergenceFailure):
-        recursion._anchor_sign(coeffs, 0.0, np.array([1.0, 0.0, 0.0, 0.0]))
+        recursion._anchor_sign(setup, 0.0, np.array([1.0, 0.0, 0.0, 0.0]))
+
+
+def test_sturm_sweep_singular_trailing_block_raises():
+    # the first column's block T[1:, 1:] is the singular one
+    values = np.zeros((4, 4))
+    values[0] = 1.0
+    with pytest.raises(ss.ConvergenceFailure,
+                       match=r"trailing block: T\[1:, 1:\] - 0.0 is singular"):
+        recursion._anchor_factors(_singular_block_coeffs(), np.zeros(4), values)
+
+
+def test_sturm_sweep_counts_a_negative_zero_ratio():
+    # w[3] - lambda = -0.0 - 0.0 = -0.0, then r_2 = +inf and r_1 = 2: the
+    # pair (-0, +inf) holds one negative, and det(T[1:, 1:]) = -2
+    coeffs = recursion.TridiagCoeffs(
+        params=ss.screen_ranges(2, 2, 2, 2), p_plus=np.array([1.0, 1.0, 1.0, 0.0]),
+        w=np.array([0.0, 2.0, 0.0, -0.0]), lam=np.zeros(4))
+    block = np.diag(coeffs.w[1:]) + np.diag(coeffs.p_plus[1:-1], 1) \
+        + np.diag(coeffs.p_plus[1:-1], -1)
+    assert np.linalg.det(block) < 0
+    assert recursion._sturm_parities(coeffs, np.zeros(1), np.array([1])).tolist() \
+        == [True]
+
+
+def _sturm_screens():
+    yield from _anchor_screens()
+    yield ss.screen_ranges(1000, 1000, 1000, 1000)
+    yield ss.screen_ranges(2000, 3000, 4000, 3666)
+
+
+def test_sturm_sweep_matches_the_lu_anchor_on_every_column():
+    # raw eigenvectors with random column signs, so both factors occur
+    rng = np.random.default_rng(4)
+    flips = 0
+    for p in _sturm_screens():
+        coeffs = tridiag_coeffs(p)
+        evals, vecs = scipy.linalg.eigh_tridiagonal(coeffs.w, coeffs.p_plus[:-1])
+        vecs *= rng.choice((-1.0, 1.0), size=p.side)
+        setup = recursion._setup_of(coeffs)
+        lu = [recursion._anchor_sign(setup, evals[iy], vecs[:, iy])
+              for iy in range(p.side)]
+        factors = recursion._anchor_factors(coeffs, evals, vecs)
+        assert factors.tolist() == lu, p
+        flips += np.count_nonzero(factors < 0)
+    assert flips > 0
+
+
+def _sweep_meets_a_zero(coeffs, lam):
+    """Whether the backward ratios r_k of _sturm_parities, run one column
+    at a time down to k = 1, are exactly zero at some k."""
+    n = len(coeffs.w)
+    for lam_y in lam:
+        r = np.inf
+        for k in range(n - 1, 0, -1):
+            with np.errstate(divide="ignore"):
+                r = (coeffs.w[k] - lam_y) - coeffs.p_plus[k] ** 2 / r
+            if r == 0:
+                return True
+    return False
+
+
+@pytest.mark.parametrize("quad", [(4, 10, 10, 4), (6, 12, 10, 12)])
+def test_eigensolve_sweep_through_a_zero_ratio_is_silent(monkeypatch, quad):
+    # the eigenvalues replaced by the exact lambda(y): integer coefficients
+    # then make a trailing ratio exactly zero, off every column's own start
+    p = ss.screen_ranges(*quad)
+    coeffs = tridiag_coeffs(p)
+    assert _sweep_meets_a_zero(coeffs, coeffs.lam)
+    eigh = scipy.linalg.eigh_tridiagonal
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal",
+                        lambda d, e: (coeffs.lam.copy(), eigh(d, e)[1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        screen = ss.screen_by_eigensolve(p)
+    monkeypatch.undo()
+    assert np.array_equal(screen.values, ss.screen_by_eigensolve(p).values)
+    setup = recursion._setup_of(coeffs)
+    raw = eigh(coeffs.w, coeffs.p_plus[:-1])[1]
+    assert recursion._anchor_factors(coeffs, coeffs.lam, raw).tolist() == [
+        recursion._anchor_sign(setup, coeffs.lam[iy], raw[:, iy])
+        for iy in range(p.side)]
 
 
 def test_stage_timings(ref_params):
@@ -242,7 +329,8 @@ def _banded_row(coeffs, iy):
     for _ in range(recursion._SOLVES):
         row = scipy.linalg.solve_banded((1, 1), band, row)
         row /= np.linalg.norm(row)
-    return row * recursion._anchor_sign(coeffs, coeffs.lam[iy], row)
+    return row * recursion._anchor_sign(recursion._setup_of(coeffs),
+                                        coeffs.lam[iy], row)
 
 
 # the half-integer screens catch a norm taken over the padded right-hand
@@ -305,8 +393,9 @@ def test_row_then_screen_equals_screen_then_row():
 
 def test_cached_setup_is_read_only_and_results_are_writable(ref_params):
     row = ss.row_by_threeterm(ref_params.two_y_min, ref_params)
-    coeffs, start, _ = recursion._row_setup(ref_params)
-    for array in (coeffs.w, coeffs.p_plus, coeffs.lam, start):
+    setup = recursion._row_setup(ref_params)
+    for array in (setup.coeffs.w, setup.coeffs.p_plus, setup.coeffs.lam,
+                  setup.off, setup.pivots, setup.start):
         with pytest.raises(ValueError):
             array[0] = 1.0
     row[0] = 1.0
@@ -668,6 +757,31 @@ def test_verify_builds_each_screen_once(monkeypatch, ref_params):
     assert calls == {("eigensolve", quad): 1, ("eigensolve", conj): 1,
                      ("threeterm", quad): 1, ("recur2d", quad): 1,
                      ("oracle", quad): 1, ("oracle", (8, 10, 12, 10)): 1}
+
+
+def _dense_residual(values, coeffs):
+    """The three-term residual from whole (n-2, n) temporaries: the formula
+    the panels replace, kept as the reference they must equal bit for bit."""
+    res = (coeffs.p_plus[1:-1, None] * values[2:, :]
+           + (coeffs.w[1:-1, None] - coeffs.lam[None, :]) * values[1:-1, :]
+           + coeffs.p_plus[:-2, None] * values[:-2, :])
+    return float(np.max(np.abs(res)))
+
+
+# sides 1, 2, 3, 65 (one past two panels) and 601, in the eigensolver's
+# column-major layout and row-major
+@pytest.mark.parametrize("quad", [(0, 8, 8, 8), (1, 1, 1, 1), (2, 2, 2, 2),
+                                  (64, 64, 64, 64), (600, 900, 1200, 1100)])
+def test_residual_panels_equal_the_dense_formula(quad):
+    p = ss.screen_ranges(*quad)
+    coeffs = tridiag_coeffs(p)
+    values = ss.screen_by_eigensolve(p).values
+    noise = np.random.default_rng(p.side).standard_normal(values.shape)
+    for u in (values, np.ascontiguousarray(values), noise,
+              np.asfortranarray(noise)):
+        screen = ss.Screen(params=p, values=u, method="eigensolve")
+        expected = _dense_residual(u, coeffs) if p.side >= 3 else 0.0
+        assert residual_threeterm(screen, coeffs) == expected, p.side
 
 
 def test_residual_threeterm_on_oracle(ref_params, ref_oracle):
