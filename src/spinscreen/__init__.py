@@ -15,10 +15,9 @@ from .geometry import (CausticData, GeometricCoeffs, PotentialCurves,
 from .ninej import (NinejResidual, RecurrenceCoeffs9j, ReductionReport,
                     ninej_coeffs, ninej_exact, ninej_oracle, ninej_residual,
                     random_stencils, reduction_check)
-from .recursion import (SCREEN_METHODS, Screen, TridiagCoeffs,
-                        residual_threeterm, row_by_threeterm,
-                        rows_by_threeterm, screen_by_2d, screen_by_eigensolve,
-                        screen_by_threeterm, tridiag_coeffs)
+from .recursion import (SCREEN_METHODS, row_by_threeterm, rows_by_threeterm,
+                        screen_by_2d, screen_by_eigensolve, screen_by_threeterm)
+from .screen import Screen, TridiagCoeffs, residual_threeterm, tridiag_coeffs
 from .semiclassics import (BohrSommerfeld, DihedralAngles, PRComparison,
                            bohr_sommerfeld, dihedral_angles, local_momentum,
                            pr_amplitude, pr_compare, pr_phase)

@@ -12,7 +12,8 @@ import time
 
 from . import (__version__, exact, exports, geometry, recursion, semiclassics,
                verify)
-from .errors import ConvergenceFailure, EmptyScreen, SpinScreenError
+from .errors import EmptyScreen, SpinScreenError
+from .screen import require_orthonormal
 from .spins import ScreenParams
 
 _OUTPUTS = ("screen", "caustics", "ridges", "potentials", "cos-theta3",
@@ -59,11 +60,7 @@ def cmd_compute(args):
     screen = None
     if needs_screen:
         screen = recursion.SCREEN_METHODS[args.method](params)
-        defect = screen.diagnostics.get("orthonormality_defect")
-        if defect is not None and not defect <= verify.ORTHONORMALITY_BOUND:
-            raise ConvergenceFailure(
-                "%s screen has orthonormality defect %.3e > %.0e"
-                % (args.method, defect, verify.ORTHONORMALITY_BOUND))
+        require_orthonormal(screen)
     outdir = args.outdir or os.environ.get("SPINSCREEN_OUTDIR", ".")
     os.makedirs(outdir, exist_ok=True)
     base = os.path.join(outdir, "spinscreen_a%d_b%d_c%d_d%d" % params.as_tuple())
@@ -107,7 +104,7 @@ def cmd_compute(args):
     elapsed = time.perf_counter() - t0
     print("screen %dx%d (kappa2=%d), method=%s" % (
         params.side, params.side, params.two_kappa, args.method))
-    if screen is not None and "orthonormality_defect" in screen.diagnostics:
+    if screen is not None:
         print("orthonormality defect: %.3e"
               % screen.diagnostics["orthonormality_defect"])
     for path in written:

@@ -6,15 +6,15 @@ exact.  The single sum runs in exact integers, one term from the next by
 their term ratio; nothing is rounded before an explicit conversion to float.
 """
 
+import bisect
 import math
-import threading
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConvergenceFailure, OutOfRange, PatternError
-from .screen import Laps, Screen, with_defect
+from .screen import Laps, Screen, finish
 from .spins import ScreenParams, triad_ok
 
 # the largest two_kappa of an oracle screen the command line and verify
@@ -23,64 +23,27 @@ from .spins import ScreenParams, triad_ok
 ORACLE_KAPPA2_CAP = 400
 
 
-class _FactorialCache:
-    """Grow-only factorial table; reads are lock-free, growth is serialized."""
-
-    def __init__(self):
-        self._table = [1, 1]
-        self._lock = threading.Lock()
-
-    def __call__(self, n):
-        table = self._table
-        if n < len(table):
-            return table[n]
-        with self._lock:
-            table = self._table
-            if n < len(table):
-                return table[n]
-            grown = list(table)
-            while len(grown) <= n:
-                grown.append(grown[-1] * len(grown))
-            self._table = grown  # publish atomically
-            return grown[n]
+# n! for n >= 0, cached: the single sums read the same few hundred
+# factorials again and again; a negative n raises ValueError
+factorial = lru_cache(maxsize=None)(math.factorial)
 
 
-factorial = _FactorialCache()
-
-
-class _PrimeTable:
-    """Grow-only sorted prime list with the same publish discipline."""
-
-    def __init__(self):
-        self._primes = [2, 3, 5, 7, 11, 13]
-        self._lock = threading.Lock()
-
-    def upto(self, n):
-        ps = self._primes
-        if ps[-1] < n:
-            with self._lock:
-                ps = self._primes
-                if ps[-1] < n:
-                    limit = max(n, 2 * ps[-1])
-                    sieve = np.ones(limit + 1, dtype=bool)
-                    sieve[:2] = False
-                    for p in range(2, int(limit ** 0.5) + 1):
-                        if sieve[p]:
-                            sieve[p * p:: p] = False
-                    ps = [int(p) for p in np.nonzero(sieve)[0]]
-                    self._primes = ps
-        for k, p in enumerate(ps):
-            if p > n:
-                return ps[:k]
-        return ps
-
-
-_prime_table = _PrimeTable()
+@lru_cache(maxsize=None)
+def _sieve(limit):
+    """The primes up to limit inclusive, ascending."""
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    return np.flatnonzero(sieve).tolist()
 
 
 def _primes_upto(n):
-    """Primes up to n inclusive, grown by sieve on demand."""
-    return _prime_table.upto(n)
+    """Primes up to n inclusive, read from the sieve of the power of two
+    above n, so the sieves cached are few."""
+    primes = _sieve(1 << max(n, 1).bit_length())
+    return primes[:bisect.bisect_right(primes, n)]
 
 
 def _legendre(n, p):
@@ -492,9 +455,4 @@ def screen_oracle(params: ScreenParams):
                                  "u_exact %r" % (values[-1, -1], xs[-1],
                                                  ys[-1], corner))
     laps.lap("values")
-    screen = Screen(params=params, values=values, method="oracle")
-    # recursion imports this module, so its residual is imported here
-    from .recursion import residual_threeterm
-    screen.diagnostics["residual_max"] = residual_threeterm(screen)
-    laps.lap("residual")
-    return with_defect(screen, laps)
+    return finish(Screen(params=params, values=values, method="oracle"), laps)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFace, NegativeRadicand, OutOfRange
+from .screen import tridiag_coeffs
 from .spins import ScreenParams
 
 
@@ -297,7 +298,6 @@ class PotentialCurves:
 
 def potentials(params: ScreenParams, pbar_mode="geometric"):
     """W(+-)(x) = w(x) +- 2|pbar(x)| for either mean of p+ and p-."""
-    from .recursion import tridiag_coeffs
     coeffs = tridiag_coeffs(params)
     pp = coeffs.p_plus
     pm = np.concatenate(([0.0], pp[:-1]))

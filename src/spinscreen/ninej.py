@@ -124,14 +124,29 @@ def ninej_residual(ta, tb, tc, td, te, tf, tg, th, tj):
     return NinejResidual(residual=abs(sum(terms)), max_term=max_term)
 
 
+# draws allowed for one admissible stencil before random_stencils gives
+# up; counted per stencil, not in all as in verify's two_h sampler, so a
+# long sweep is never cut short
+_DRAWS_PER_STENCIL = 200000
+
+
 def random_stencils(count, two_j_max=12, seed=0):
-    """Admissible 9j argument tuples for residual sweeps."""
+    """Admissible 9j argument tuples for residual sweeps, entries drawn
+    from 1..two_j_max.  Fewer than count come back when _DRAWS_PER_STENCIL
+    draws in a row find none (with every entry 1 none is admissible), and
+    none when two_j_max < 1."""
+    if two_j_max < 1:
+        return []
     rng = random.Random(seed)
     out = []
-    while len(out) < count:
+    misses = 0
+    while len(out) < count and misses < _DRAWS_PER_STENCIL:
         tjs = tuple(rng.randint(1, two_j_max) for _ in range(9))
         if ninej_valid(*tjs):
             out.append(tjs)
+            misses = 0
+        else:
+            misses += 1
     return out
 
 

@@ -5,7 +5,6 @@ five-term cross recursion; SCREEN_METHODS names every screen builder."""
 import decimal
 import functools
 import math
-from dataclasses import dataclass
 from decimal import Decimal
 from typing import NamedTuple
 
@@ -14,7 +13,10 @@ import scipy.linalg
 
 from . import exact
 from .errors import ConvergenceFailure, OutOfRange, ZeroPivot
-from .screen import Laps, Screen, with_defect
+# residual_threeterm is not called here: recursion.residual_threeterm is
+# the name perfbench's tracer wraps, beside recursion.tridiag_coeffs
+from .screen import (_PANEL, Laps, Screen, TridiagCoeffs, _recursion_terms,
+                     finish, residual_threeterm, tridiag_coeffs)
 from .spins import ScreenParams
 
 # inverse iteration: solves per row, start-vector seed, relative shift
@@ -24,50 +26,6 @@ _SHIFT_NUDGE = 1e-13
 # screens whose row set-up is kept, least recently used dropped first; at
 # side 2001 a set-up holds about 96 kB of arrays
 _SETUP_CACHE = 8
-# columns per panel of the three-term residual and the eigenvectors'
-# argmax: two side-2001 panels of doubles (1 MB) stay in cache
-_PANEL = 32
-
-
-@dataclass
-class TridiagCoeffs:
-    """Coefficient arrays of the symmetric three-term recursion (j units).
-
-    p_plus[k] couples lattice point k to k+1 and vanishes at the last point;
-    p_minus(x) = p_plus(x-1).  lam is indexed by the y lattice and is strictly
-    increasing.
-    """
-
-    params: ScreenParams
-    p_plus: np.ndarray
-    w: np.ndarray
-    lam: np.ndarray
-
-
-def _recursion_terms(params: ScreenParams, half):
-    """The three-term recursion's pieces with j = half(two_j): the radicand
-    f of p_plus = sqrt(f) / ((x+1) sqrt((2x+1)(2x+3))), the x lattice, w and
-    lambda.  half gives floats for tridiag_coeffs and Decimals for the cross
-    recursion."""
-    a, b, c, d = (half(t) for t in params.as_tuple())
-    x = half(params.x_lattice())
-    y = half(params.y_lattice())
-    f_ab = (a + b + x + 2) * (a + b - x) * (a - b + x + 1) * (-a + b + x + 1)
-    f_cd = (d + c + x + 2) * (d + c - x) * (d - c + x + 1) * (-d + c + x + 1)
-    xx = x * (x + 1)
-    # x=0 occurs only for a=b, c=d, where w(x) = -x(x+1) and the numerator
-    # vanishes: dividing it by 1 there gives w(0) = 0
-    w = ((b * (b + 1) - a * (a + 1) + xx) * (d * (d + 1) - c * (c + 1) - xx)
-         / np.where(xx == 0, 1, xx))
-    lam = 2 * (y * (y + 1) - b * (b + 1) - c * (c + 1))
-    return f_ab * f_cd, x, w, lam
-
-
-def tridiag_coeffs(params: ScreenParams):
-    """Recursion coefficients p_plus, w and eigenvalues lambda for a screen."""
-    f, x, w, lam = _recursion_terms(params, lambda two_j: two_j / 2.0)
-    p_plus = np.sqrt(f) / ((x + 1) * np.sqrt((2 * x + 1) * (2 * x + 3)))
-    return TridiagCoeffs(params=params, p_plus=p_plus, w=w, lam=lam)
 
 
 def _stretched_sign(params: ScreenParams):
@@ -180,13 +138,6 @@ def _anchor_factors(coeffs: TridiagCoeffs, evals, values):
     return np.where(values[istar, np.arange(n)] * sign < 0, -1.0, 1.0)
 
 
-def _core_diagnostics(screen: Screen, laps: Laps, coeffs: TridiagCoeffs = None):
-    """Residual, orthonormality defect and the stage timings of a screen."""
-    screen.diagnostics["residual_max"] = float(residual_threeterm(screen, coeffs))
-    laps.lap("residual")
-    return with_defect(screen, laps)
-
-
 def screen_by_eigensolve(params: ScreenParams):
     """Screen from diagonalizing the symmetric tridiagonal matrix.
 
@@ -210,38 +161,7 @@ def screen_by_eigensolve(params: ScreenParams):
                                 / np.maximum(np.abs(coeffs.lam), 1.0)))
     screen = Screen(params=params, values=values, method="eigensolve",
                     diagnostics={"spectrum_rel_error": spectrum_err})
-    return _core_diagnostics(screen, laps, coeffs)
-
-
-def residual_threeterm(screen: Screen, coeffs: TridiagCoeffs = None):
-    """max over interior points of |p+ U(x+1) + (w - lambda) U(x) + p- U(x-1)|.
-
-    The sum runs in panels of _PANEL columns through two buffers laid out
-    as U, in the order (p+ U(x+1) + (w - lambda) U(x)) + p- U(x-1): the
-    maximum is that of the whole (n-2, n) array, bit for bit.
-    """
-    if coeffs is None:
-        coeffs = tridiag_coeffs(screen.params)
-    U = screen.values
-    n = U.shape[0]
-    if n < 3:
-        return 0.0
-    p_next, w, p_prev = (coeffs.p_plus[1:-1, None], coeffs.w[1:-1, None],
-                         coeffs.p_plus[:-2, None])
-    acc = np.empty_like(U[1:-1, :_PANEL], dtype=float)
-    term = np.empty_like(acc)
-    largest = 0.0
-    for j in range(0, U.shape[1], _PANEL):
-        cols = U[:, j:j + _PANEL]
-        a, t = acc[:, :cols.shape[1]], term[:, :cols.shape[1]]
-        np.subtract(w, coeffs.lam[None, j:j + _PANEL], out=a)
-        np.multiply(a, cols[1:-1], out=a)
-        np.multiply(p_next, cols[2:], out=t)
-        np.add(t, a, out=a)
-        np.multiply(p_prev, cols[:-2], out=t)
-        np.add(a, t, out=a)
-        largest = max(largest, float(np.max(np.abs(a, out=a))))
-    return largest
+    return finish(screen, laps, coeffs)
 
 
 def _start_vector(n):
@@ -351,7 +271,7 @@ def screen_by_threeterm(params: ScreenParams):
     values = _solve_rows(params, range(params.side), laps)
     screen = Screen(params=params, values=values, method="threeterm",
                     diagnostics={})
-    return _core_diagnostics(screen, laps, _row_setup(params).coeffs)
+    return finish(screen, laps, _row_setup(params).coeffs)
 
 
 def _cross_rows(params: ScreenParams, terms):
@@ -495,9 +415,8 @@ def screen_by_2d(params: ScreenParams):
     diagnostics["residual_cross_max"] = _cross_residual_max(params, values,
                                                             cross)
     laps.lap("cross_residual")
-    return _core_diagnostics(Screen(params=params, values=values,
-                                    method="recur2d", diagnostics=diagnostics),
-                             laps)
+    return finish(Screen(params=params, values=values, method="recur2d",
+                         diagnostics=diagnostics), laps)
 
 
 # digits of the row normalization: a double's rounding is off only for a

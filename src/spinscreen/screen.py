@@ -1,12 +1,21 @@
-"""Dense screen container shared by all generation methods."""
+"""The screen contract shared by every generation method: the dense Screen
+container, the three-term recursion it satisfies (coefficients and
+residual), and the diagnostics and acceptance bound every builder ends
+with."""
 
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OutOfRange
+from .errors import ConvergenceFailure, OutOfRange
 from .spins import ScreenParams
+
+# the largest max |U^T U - I| of a screen that counts as orthonormal
+ORTHONORMALITY_BOUND = 1e-10
+# columns per panel of the three-term residual and the eigenvectors'
+# argmax: two side-2001 panels of doubles (1 MB) stay in cache
+_PANEL = 32
 
 
 @dataclass
@@ -52,10 +61,96 @@ class Laps:
         self._last = now
 
 
-def with_defect(screen: Screen, laps: Laps):
-    """Record the orthonormality defect, timed as the last stage, and the
-    stage timings of a screen."""
+@dataclass
+class TridiagCoeffs:
+    """Coefficient arrays of the symmetric three-term recursion (j units).
+
+    p_plus[k] couples lattice point k to k+1 and vanishes at the last point;
+    p_minus(x) = p_plus(x-1).  lam is indexed by the y lattice and is strictly
+    increasing.
+    """
+
+    params: ScreenParams
+    p_plus: np.ndarray
+    w: np.ndarray
+    lam: np.ndarray
+
+
+def _recursion_terms(params: ScreenParams, half):
+    """The three-term recursion's pieces with j = half(two_j): the radicand
+    f of p_plus = sqrt(f) / ((x+1) sqrt((2x+1)(2x+3))), the x lattice, w and
+    lambda.  half gives floats for tridiag_coeffs and Decimals for the cross
+    recursion."""
+    a, b, c, d = (half(t) for t in params.as_tuple())
+    x = half(params.x_lattice())
+    y = half(params.y_lattice())
+    f_ab = (a + b + x + 2) * (a + b - x) * (a - b + x + 1) * (-a + b + x + 1)
+    f_cd = (d + c + x + 2) * (d + c - x) * (d - c + x + 1) * (-d + c + x + 1)
+    xx = x * (x + 1)
+    # x=0 occurs only for a=b, c=d, where w(x) = -x(x+1) and the numerator
+    # vanishes: dividing it by 1 there gives w(0) = 0
+    w = ((b * (b + 1) - a * (a + 1) + xx) * (d * (d + 1) - c * (c + 1) - xx)
+         / np.where(xx == 0, 1, xx))
+    lam = 2 * (y * (y + 1) - b * (b + 1) - c * (c + 1))
+    return f_ab * f_cd, x, w, lam
+
+
+def tridiag_coeffs(params: ScreenParams):
+    """Recursion coefficients p_plus, w and eigenvalues lambda for a screen."""
+    f, x, w, lam = _recursion_terms(params, lambda two_j: two_j / 2.0)
+    p_plus = np.sqrt(f) / ((x + 1) * np.sqrt((2 * x + 1) * (2 * x + 3)))
+    return TridiagCoeffs(params=params, p_plus=p_plus, w=w, lam=lam)
+
+
+def residual_threeterm(screen: Screen, coeffs: TridiagCoeffs = None):
+    """max over interior points of |p+ U(x+1) + (w - lambda) U(x) + p- U(x-1)|.
+
+    The sum runs in panels of _PANEL columns through two buffers laid out
+    as U, in the order (p+ U(x+1) + (w - lambda) U(x)) + p- U(x-1): the
+    maximum is that of the whole (n-2, n) array, bit for bit.
+    """
+    if coeffs is None:
+        coeffs = tridiag_coeffs(screen.params)
+    U = screen.values
+    n = U.shape[0]
+    if n < 3:
+        return 0.0
+    p_next, w, p_prev = (coeffs.p_plus[1:-1, None], coeffs.w[1:-1, None],
+                         coeffs.p_plus[:-2, None])
+    acc = np.empty_like(U[1:-1, :_PANEL], dtype=float)
+    term = np.empty_like(acc)
+    largest = 0.0
+    for j in range(0, U.shape[1], _PANEL):
+        cols = U[:, j:j + _PANEL]
+        a, t = acc[:, :cols.shape[1]], term[:, :cols.shape[1]]
+        np.subtract(w, coeffs.lam[None, j:j + _PANEL], out=a)
+        np.multiply(a, cols[1:-1], out=a)
+        np.multiply(p_next, cols[2:], out=t)
+        np.add(t, a, out=a)
+        np.multiply(p_prev, cols[:-2], out=t)
+        np.add(a, t, out=a)
+        largest = max(largest, float(np.max(np.abs(a, out=a))))
+    return largest
+
+
+def finish(screen: Screen, laps: Laps, coeffs: TridiagCoeffs = None):
+    """Record what every builder's screen is judged by, each timed as a
+    stage after the builder's own: the three-term residual residual_max
+    (coeffs are tridiag_coeffs(screen.params), computed when not given),
+    the orthonormality defect, and the stage timings."""
+    screen.diagnostics["residual_max"] = residual_threeterm(screen, coeffs)
+    laps.lap("residual")
     screen.diagnostics["orthonormality_defect"] = screen.orthonormality_defect()
     laps.lap("defect")
     screen.diagnostics["timings"] = laps.timings
     return screen
+
+
+def require_orthonormal(screen: Screen):
+    """Raise ConvergenceFailure when the screen's recorded orthonormality
+    defect is over ORTHONORMALITY_BOUND (or is NaN)."""
+    defect = screen.diagnostics["orthonormality_defect"]
+    if not defect <= ORTHONORMALITY_BOUND:
+        raise ConvergenceFailure(
+            "%s screen has orthonormality defect %.3e > %.0e"
+            % (screen.method, defect, ORTHONORMALITY_BOUND))

@@ -9,13 +9,10 @@ from importlib import resources
 import numpy as np
 
 from . import exact, geometry, ninej, recursion, spins
-from .errors import PatternError
+from .errors import EmptyScreen, PatternError
 from .geometry import Tetrahedron
+from .screen import ORTHONORMALITY_BOUND
 from .spins import ScreenParams
-
-
-# the largest max |U^T U - I| of a screen that counts as orthonormal
-ORTHONORMALITY_BOUND = 1e-10
 
 
 @dataclass
@@ -40,7 +37,7 @@ def random_screen_params(rng, two_j_max=40):
             continue
         try:
             return ScreenParams(*quad)
-        except Exception:
+        except EmptyScreen:
             continue
 
 

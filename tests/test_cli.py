@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -6,12 +7,15 @@ import numpy as np
 import pytest
 
 import spinscreen as ss
-from spinscreen import cli, exports
+from spinscreen import cli, exports, verify
 
 
 def run_cli(*args, env=None):
+    """The finished command; a command still running after 300 s fails the
+    test with subprocess.TimeoutExpired instead of stalling the suite."""
     cmd = [sys.executable, "-m", "spinscreen", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+    return subprocess.run(cmd, capture_output=True, text=True, env=env,
+                          timeout=300)
 
 
 REF_ARGS = ("--two-a", "60", "--two-b", "90", "--two-c", "120", "--two-d", "110")
@@ -229,6 +233,38 @@ def test_verify_corrupted_golden(tmp_path):
     assert "golden" in cp.stdout and "FAIL" in cp.stdout
 
 
+def test_random_screen_params_skips_only_empty_screens(monkeypatch):
+    # a fault in ScreenParams reaches the caller: drawn past, it would
+    # be hidden by the second draw, which succeeds
+    calls = []
+
+    def faulty(*quad):
+        calls.append(quad)
+        if len(calls) == 1:
+            raise ValueError("fault")
+        return quad
+
+    monkeypatch.setattr(verify, "ScreenParams", faulty)
+    with pytest.raises(ValueError, match="fault"):
+        verify.random_screen_params(random.Random(0))
+
+
+def test_random_screen_params_draws_past_empty_screens():
+    rng, draws = random.Random(1), []
+    while True:
+        quad = tuple(rng.randint(0, 40) for _ in range(4))
+        if sum(quad) % 2:
+            continue
+        draws.append(quad)
+        try:
+            expected = ss.ScreenParams(*quad)
+            break
+        except ss.EmptyScreen:
+            pass
+    assert len(draws) > 1
+    assert verify.random_screen_params(random.Random(1)) == expected
+
+
 def test_ninej_check_default():
     cp = run_cli("ninej-check", "--count", "20", "--two-j-max", "8")
     assert cp.returncode == 0, cp.stderr
@@ -260,6 +296,14 @@ def test_ninej_check_reduce_invalid_params(quad):
                  "--two-b", args[1], "--two-c", args[2], "--two-d", args[3])
     assert cp.returncode == 2, cp.stderr
     assert "invalid parameters" in cp.stderr
+
+
+# with every entry 1 no stencil is admissible, and 0 leaves nothing to draw
+@pytest.mark.parametrize("two_j_max", ["1", "0"])
+def test_ninej_check_without_admissible_stencils(two_j_max):
+    cp = run_cli("ninej-check", "--two-j-max", two_j_max)
+    assert cp.returncode == 2, cp.stderr
+    assert "no admissible stencils" in cp.stderr
 
 
 def test_ninej_check_empty_filter():

@@ -278,11 +278,28 @@ def test_factorial_cache():
     assert factorial(5) == 120
 
 
+def test_factorial_of_a_negative_argument_raises():
+    factorial(30)
+    with pytest.raises(ValueError):
+        factorial(-1)
+
+
+def test_primes_upto_every_bound():
+    primes = [p for p in range(2, 1100)
+              if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    for n in (0, 1, 2, 3, 4, 15, 16, 17, 1023, 1024, 1025, 1099):
+        assert exact._primes_upto(n) == [p for p in primes if p <= n], n
+
+
 def test_concurrent_evaluation():
-    # shared factorial cache: concurrent readers with serialized growth
+    # the factorial, prime and triad caches are shared: threads filling
+    # them at once must read the same values a single thread does
+    import sys
     import threading
     p = ss.screen_ranges(20, 30, 40, 36)
     expected = ss.sixj_exact(20, 30, p.two_x_min + 4, 40, 36, p.two_y_min + 4)
+    for cache in (factorial, exact._sieve, exact._delta_parts):
+        cache.cache_clear()
     results = []
 
     def worker(seed):
@@ -295,10 +312,16 @@ def test_concurrent_evaluation():
             ss.sixj_exact(20, 30, p.two_x_min + 4, 40, 36, p.two_y_min + 4))
 
     threads = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert len(results) == 8
     assert all(v == expected for v in results)
 

@@ -114,6 +114,33 @@ def test_recurrence_residual_random_stencils():
         assert res.relative <= 1e-10
 
 
+def _uncapped_stencils(count, two_j_max, seed):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        tjs = tuple(rng.randint(1, two_j_max) for _ in range(9))
+        if ninej_valid(*tjs):
+            out.append(tjs)
+    return out
+
+
+@pytest.mark.parametrize("count, two_j_max, seed", [(100, 12, 0), (50, 2, 3)])
+def test_random_stencils_draw_what_the_uncapped_loop_draws(count, two_j_max,
+                                                           seed):
+    assert random_stencils(count, two_j_max, seed) \
+        == _uncapped_stencils(count, two_j_max, seed)
+
+
+def test_random_stencils_without_admissible_stencils(monkeypatch):
+    assert random_stencils(10, two_j_max=0) == []
+    assert random_stencils(10, two_j_max=-3) == []
+    monkeypatch.setattr(ss.ninej, "_DRAWS_PER_STENCIL", 1000)
+    assert random_stencils(10, two_j_max=1) == []
+    # a miss count that restarts at every stencil: 1000 draws would not
+    # find 10 stencils at two_j_max 12 in all, but each is within 1000
+    assert random_stencils(10, two_j_max=12) == _uncapped_stencils(10, 12, 0)
+
+
 def test_recurrence_residual_zero_stencil():
     # all five values vanish identically
     res = ss.ninej_residual(0, 0, 0, 2, 2, 2, 2, 2, 9)
