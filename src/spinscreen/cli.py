@@ -26,6 +26,14 @@ def _add_params(parser):
                             help="twice the angular momentum %s" % name[-1])
 
 
+def _sample_count(text):
+    """argparse type of a sample count: an int of at least 1."""
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError("must be at least 1 (got %d)" % count)
+    return count
+
+
 def _params_from(args):
     """ScreenParams from the command line, or None after reporting why not."""
     try:
@@ -186,7 +194,7 @@ def build_parser():
     _add_params(p_verify)
     p_verify.add_argument("--check", action="append",
                           help="substring filter; repeatable")
-    p_verify.add_argument("--random", type=int, default=200,
+    p_verify.add_argument("--random", type=_sample_count, default=200,
                           help="sample count for randomized checks")
     p_verify.add_argument("--seed", type=int, default=1234)
     p_verify.add_argument("--golden", default=None,
@@ -197,7 +205,7 @@ def build_parser():
 
     p_nine = sub.add_parser("ninej-check",
                             help="9j recurrence residuals and reduction")
-    p_nine.add_argument("--count", type=int, default=100)
+    p_nine.add_argument("--count", type=_sample_count, default=100)
     p_nine.add_argument("--two-j-max", type=int, default=12)
     p_nine.add_argument("--seed", type=int, default=0)
     p_nine.add_argument("--two-h", type=int, default=None,

@@ -302,8 +302,7 @@ def sixj_exact(tj1, tj2, tj3, tj4, tj5, tj6):
 
 def u_exact(two_x, two_y, params: ScreenParams):
     """Exact U(x,y) = sqrt((2x+1)(2y+1)) {a b x; c d y} on the screen."""
-    if not params.contains(two_x, two_y):
-        raise OutOfRange("(%d,%d) is not on the screen lattice" % (two_x, two_y))
+    params.point_index(two_x, two_y)
     sixj = sixj_exact(params.two_a, params.two_b, two_x,
                       params.two_c, params.two_d, two_y)
     return sixj * SqrtRational(1, (two_x + 1) * (two_y + 1))

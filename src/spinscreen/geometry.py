@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFace, NegativeRadicand, OutOfRange
+from .errors import DegenerateFace, NegativeRadicand
 from .screen import tridiag_coeffs
 from .spins import ScreenParams
 
@@ -320,8 +320,7 @@ def f_transform(u_row, params: ScreenParams, two_y):
     Points outside the geometric domain become NaN.  A two_y off the y
     lattice raises OutOfRange.
     """
-    if not params.contains(params.two_x_min, two_y):
-        raise OutOfRange("two_y=%d is not a lattice row" % two_y)
+    params.row_index(two_y)
     A, B, C, D = (edge_length(t) for t in params.as_tuple())
     X = edge_length(params.x_lattice())
     f1sq = _area_sq(X * X, A * A, B * B)
@@ -338,8 +337,7 @@ def f_residual(f_values, params: ScreenParams, two_y):
 
     NaN at the two ends and wherever f or cos(theta3) is not finite.
     """
-    if not params.contains(params.two_x_min, two_y):
-        raise OutOfRange("two_y=%d is not a lattice row" % two_y)
+    params.row_index(two_y)
     c3 = _cos_theta3(Tetrahedron.from_two_j(params, params.x_lattice(), two_y),
                      "plain")
     f = np.asarray(f_values, dtype=float)

@@ -133,9 +133,9 @@ _DRAWS_PER_STENCIL = 200000
 def random_stencils(count, two_j_max=12, seed=0):
     """Admissible 9j argument tuples for residual sweeps, entries drawn
     from 1..two_j_max.  Fewer than count come back when _DRAWS_PER_STENCIL
-    draws in a row find none (with every entry 1 none is admissible), and
-    none when two_j_max < 1."""
-    if two_j_max < 1:
+    draws in a row find none, and none at once when two_j_max < 2: with
+    every entry 1 each triad sums to 3, which is odd."""
+    if two_j_max < 2:
         return []
     rng = random.Random(seed)
     out = []

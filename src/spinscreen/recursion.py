@@ -12,7 +12,7 @@ import numpy as np
 import scipy.linalg
 
 from . import exact
-from .errors import ConvergenceFailure, OutOfRange, ZeroPivot
+from .errors import ConvergenceFailure, ZeroPivot
 # residual_threeterm is not called here: recursion.residual_threeterm is
 # the name perfbench's tracer wraps, beside recursion.tridiag_coeffs
 from .screen import (_PANEL, Laps, Screen, TridiagCoeffs, _recursion_terms,
@@ -26,6 +26,8 @@ _SHIFT_NUDGE = 1e-13
 # screens whose row set-up is kept, least recently used dropped first; at
 # side 2001 a set-up holds about 96 kB of arrays
 _SETUP_CACHE = 8
+# the width, as a share of its side, from which _anchor sweeps a block
+_SWEEP_SHARE = 1 / 4
 
 
 def _stretched_sign(params: ScreenParams):
@@ -55,28 +57,6 @@ def _singular(what, start, shift, order):
     """The ConvergenceFailure of a singular T[start:, start:] - shift."""
     return ConvergenceFailure("%s: T[%d:, %d:] - %r is singular (order %d)"
                               % (what, start, start, float(shift), order))
-
-
-def _anchor_sign(setup, lam_y, vec):
-    """+1 or -1: the factor that gives vec the stretched-boundary sign.
-
-    The backward recursion from x_max, seeded with the stretched sign s,
-    reads r[k-1] = s det(lam - T[k:, k:]) / prod(p_plus[k-1:n-1]) in closed
-    form, and p_plus > 0 on the interior.  At vec's largest entry i the
-    reference sign is therefore s (-1)^m sign det(T[i+1:, i+1:] - lam) with
-    m = n-1-i, read from one LAPACK tridiagonal LU (dgttrf) as the signs of
-    U's diagonal times (-1)^(row swaps).  setup is the screen's _RowSetup.
-    """
-    istar = int(np.argmax(np.abs(vec)))
-    m = len(vec) - 1 - istar
-    parity = m
-    if m > 0:
-        _, u_diag, _, _, ipiv = _shifted_lu(setup, istar + 1, lam_y,
-                                            "trailing block")
-        parity += (np.count_nonzero(u_diag < 0)
-                   + np.count_nonzero(ipiv != setup.pivots[:m + 2]))
-    sign = _stretched_sign(setup.coeffs.params) * (-1) ** int(parity)
-    return -1.0 if vec[istar] * sign < 0 else 1.0
 
 
 def _sturm_parities(coeffs: TridiagCoeffs, lam, starts):
@@ -123,39 +103,59 @@ def _sturm_parities(coeffs: TridiagCoeffs, lam, starts):
     return parities
 
 
-def _anchor_factors(coeffs: TridiagCoeffs, evals, values):
-    """_anchor_sign's factor for every column of values at once: the
-    argmax of each column, read in panels of _PANEL columns, and the sign
-    of every trailing determinant from one _sturm_parities sweep.  A row
-    block of k columns keeps _anchor_sign's k LUs: the sweep is O(n) per
-    column for any k, and was 3 times slower than one LU for one column."""
-    n = values.shape[1]
-    istar = np.empty(n, dtype=np.intp)
-    for j in range(0, n, _PANEL):
-        istar[j:j + _PANEL] = np.argmax(np.abs(values[:, j:j + _PANEL]), axis=0)
-    parity = (n - 1 - istar) + _sturm_parities(coeffs, evals, istar + 1)
-    sign = _stretched_sign(coeffs.params) * (1 - 2 * (parity % 2))
-    return np.where(values[istar, np.arange(n)] * sign < 0, -1.0, 1.0)
+def _anchor(setup, lam, block):
+    """Give each column j of block, in place, U's stretched-boundary sign
+    at lam[j]; setup is the screen's _RowSetup.
+
+    The backward recursion from x_max, seeded with the stretched sign s,
+    reads r[k-1] = s det(lam - T[k:, k:]) / prod(p_plus[k-1:n-1]) in closed
+    form, and p_plus > 0 on the interior, so at a column's largest entry i
+    the reference sign is s (-1)^m sign det(T[i+1:, i+1:] - lam), m = n-1-i.
+    A block of k < _SWEEP_SHARE n columns reads each sign from one LAPACK
+    dgttrf (U's diagonal signs times (-1)^(row swaps)), a wider one all
+    signs from one _sturm_parities sweep, O(n) per column whatever k is.
+    """
+    n, k = block.shape
+    sign = _stretched_sign(setup.coeffs.params)
+    if k < _SWEEP_SHARE * n:
+        for j in range(k):
+            col = block[:, j]
+            istar = int(np.argmax(np.abs(col)))
+            m = parity = n - 1 - istar
+            if m > 0:
+                _, u_diag, _, _, ipiv = _shifted_lu(setup, istar + 1, lam[j],
+                                                    "trailing block")
+                parity += (np.count_nonzero(u_diag < 0)
+                           + np.count_nonzero(ipiv != setup.pivots[:m + 2]))
+            if col[istar] * sign * (-1) ** int(parity) < 0:
+                col *= -1.0
+        return
+    istar = np.empty(k, dtype=np.intp)
+    for j in range(0, k, _PANEL):
+        istar[j:j + _PANEL] = np.argmax(np.abs(block[:, j:j + _PANEL]), axis=0)
+    parity = (n - 1 - istar) + _sturm_parities(setup.coeffs, lam, istar + 1)
+    block *= np.where(block[istar, np.arange(k)] * sign * (1 - 2 * (parity % 2))
+                      < 0, -1.0, 1.0)
 
 
 def screen_by_eigensolve(params: ScreenParams):
-    """Screen from diagonalizing the symmetric tridiagonal matrix.
+    """Screen from diagonalizing the tridiagonal matrix of _row_setup.
 
     Eigenvalues sorted ascending are assigned to ascending y (lambda is
-    monotone); each eigenvector's global sign is anchored to the exact sign
-    of the stretched boundary value U(x_max, y), all columns by one sweep
-    (_anchor_factors).  diagnostics["timings"] holds the wall time of each
-    stage in seconds.
+    monotone); _anchor gives each eigenvector the exact sign of the
+    stretched boundary value U(x_max, y).  diagnostics["timings"] holds
+    the wall time of each stage in seconds.
     """
     laps = Laps()
-    coeffs = tridiag_coeffs(params)
+    setup = _row_setup(params)
+    coeffs = setup.coeffs
     laps.lap("coeffs")
     try:
         evals, values = scipy.linalg.eigh_tridiagonal(coeffs.w, coeffs.p_plus[:-1])
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as err:
         raise ConvergenceFailure(str(err)) from err
     laps.lap("eigh")
-    values *= _anchor_factors(coeffs, evals, values)
+    _anchor(setup, evals, values)
     laps.lap("anchor")
     spectrum_err = float(np.max(np.abs(evals - coeffs.lam)
                                 / np.maximum(np.abs(coeffs.lam), 1.0)))
@@ -173,8 +173,8 @@ def _start_vector(n):
 
 
 class _RowSetup(NamedTuple):
-    """What every threeterm row of a screen shares, all read-only: its
-    TridiagCoeffs, the off-diagonal p_plus[:-1] with _shifted_lu's two
+    """What a screen's eigensolve and threeterm rows share, all read-only:
+    its TridiagCoeffs, the off-diagonal p_plus[:-1] with _shifted_lu's two
     padding zeros (a trailing block's is a slice of it), dgttrf's pivots
     1..n+2 when no row is swapped, the padded start vector and the spectral
     scale max(1, max|lambda|).  The shift is not kept: it is taken from
@@ -231,9 +231,7 @@ def _solve_rows(params: ScreenParams, iys, laps: Laps):
     for k, iy in enumerate(iys):
         block[:, k] = _inverse_iteration(setup, iy)
     laps.lap("solve")
-    for k, iy in enumerate(iys):
-        if _anchor_sign(setup, setup.coeffs.lam[iy], block[:, k]) < 0:
-            block[:, k] = -block[:, k]
+    _anchor(setup, setup.coeffs.lam[iys], block)
     laps.lap("anchor")
     return block
 
@@ -252,10 +250,7 @@ def rows_by_threeterm(two_ys, params: ScreenParams):
     shared by every row, block and screen of it.  Every two_y is checked
     before any solve: one off the y lattice raises OutOfRange.
     """
-    for two_y in two_ys:
-        if not params.contains(params.two_x_min, two_y):
-            raise OutOfRange("two_y=%d is not a lattice row" % two_y)
-    return _solve_rows(params, [params.y_index(two_y) for two_y in two_ys],
+    return _solve_rows(params, [params.row_index(two_y) for two_y in two_ys],
                        Laps())
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceFailure, OutOfRange
+from .errors import ConvergenceFailure
 from .spins import ScreenParams
 
 # the largest max |U^T U - I| of a screen that counts as orthonormal
@@ -28,16 +28,11 @@ class Screen:
     diagnostics: dict = field(default_factory=dict)
 
     def u(self, two_x, two_y):
-        if not self.params.contains(two_x, two_y):
-            raise OutOfRange("(%d,%d) is not on the screen lattice"
-                             % (two_x, two_y))
-        return self.values[self.params.x_index(two_x), self.params.y_index(two_y)]
+        return self.values[self.params.point_index(two_x, two_y)]
 
     def row(self, two_y):
         """All U(x, y) for one y, indexed by the x lattice."""
-        if not self.params.contains(self.params.two_x_min, two_y):
-            raise OutOfRange("two_y=%d is not a lattice row" % two_y)
-        return self.values[:, self.params.y_index(two_y)]
+        return self.values[:, self.params.row_index(two_y)]
 
     def orthonormality_defect(self):
         """max |U^T U - I|.  U is square, so U^T U = I exactly when

@@ -9,8 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry, recursion
-from .errors import (CausticProximityWarning, NoClassicalWindow, OutOfRange,
-                     OutsideDomain)
+from .errors import CausticProximityWarning, NoClassicalWindow, OutsideDomain
 from .geometry import Tetrahedron
 from .spins import ScreenParams
 
@@ -38,8 +37,7 @@ def bohr_sommerfeld(two_y, params: ScreenParams):
     interpolation of cos(theta3) to the fractional turning points; the loop
     doubles the one-way integral and action = (n + 1/2) pi defines n.
     """
-    if not params.contains(params.two_x_min, two_y):
-        raise OutOfRange("two_y=%d is not a lattice row" % two_y)
+    params.row_index(two_y)
     t = Tetrahedron.from_two_j(params, params.x_lattice(), two_y)
     c3 = geometry._cos_theta3(t, "plain")
     xs = t.X

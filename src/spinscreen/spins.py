@@ -9,7 +9,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyScreen, ParityError
+from .errors import EmptyScreen, OutOfRange, ParityError
 
 
 def triad_ok(two_a, two_b, two_c):
@@ -89,6 +89,19 @@ class ScreenParams:
 
     def y_index(self, two_y):
         return (two_y - self.two_y_min) // 2
+
+    def row_index(self, two_y):
+        """y_index of the lattice row two_y; OutOfRange off the lattice."""
+        if not self.contains(self.two_x_min, two_y):
+            raise OutOfRange("two_y=%d is not a lattice row" % two_y)
+        return self.y_index(two_y)
+
+    def point_index(self, two_x, two_y):
+        """(x_index, y_index) of the lattice point; OutOfRange off it."""
+        if not self.contains(two_x, two_y):
+            raise OutOfRange("(%d,%d) is not on the screen lattice"
+                             % (two_x, two_y))
+        return self.x_index(two_x), self.y_index(two_y)
 
 
 def screen_ranges(two_a, two_b, two_c, two_d):

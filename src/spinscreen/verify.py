@@ -33,11 +33,9 @@ def random_screen_params(rng, two_j_max=40):
     """A uniformly sampled valid parameter quadruple."""
     while True:
         quad = tuple(rng.randint(0, two_j_max) for _ in range(4))
-        if sum(quad) % 2:
-            continue
         try:
             return ScreenParams(*quad)
-        except EmptyScreen:
+        except EmptyScreen:  # an odd a+b+c+d included
             continue
 
 
@@ -110,10 +108,7 @@ def check_unit_sixj(params, rng, n_random, screen):
     while done < n_random:
         ta = rng.randint(0, 20)
         tb = rng.randint(0, 20)
-        txs = [t for t in range(abs(ta - tb), ta + tb + 1, 2)]
-        if not txs:
-            continue
-        tx = rng.choice(txs)
+        tx = rng.choice(range(abs(ta - tb), ta + tb + 1, 2))
         dt = rng.choice((-2, 0, 2))
         args = (tb, tx + dt, ta, 2, ta, tx)
         if min(args) < 0:

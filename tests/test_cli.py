@@ -221,6 +221,15 @@ def test_verify_unknown_check():
     assert cp.returncode == 2
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_verify_random_below_one_is_a_usage_error(count):
+    # unit-sixj would otherwise pass on no sample at all
+    cp = run_cli("verify", *SMALL, "--random", count, "--check", "unit")
+    assert cp.returncode == 2
+    assert "argument --random: must be at least 1" in cp.stderr
+    assert "PASS" not in cp.stdout
+
+
 def test_verify_corrupted_golden(tmp_path):
     from importlib import resources
     payload = json.loads(resources.files("spinscreen")
@@ -304,6 +313,14 @@ def test_ninej_check_without_admissible_stencils(two_j_max):
     cp = run_cli("ninej-check", "--two-j-max", two_j_max)
     assert cp.returncode == 2, cp.stderr
     assert "no admissible stencils" in cp.stderr
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_ninej_check_count_below_one_is_a_usage_error(count):
+    cp = run_cli("ninej-check", "--count", count)
+    assert cp.returncode == 2
+    assert "argument --count: must be at least 1" in cp.stderr
+    assert "no admissible stencils" not in cp.stderr
 
 
 def test_ninej_check_empty_filter():

@@ -141,6 +141,21 @@ def _anchor_screens():
     yield ss.screen_ranges(600, 900, 1200, 1100)
 
 
+# _anchor's parity source by name: one LU per column for every block, or
+# one Sturm sweep for every block
+_SOURCES = {"lu": np.inf, "sweep": 0.0}
+
+
+def _anchored(source, coeffs, lam, block):
+    """A copy of block anchored by _anchor at lam, with the parities of
+    its trailing determinants read from source."""
+    out = block.copy()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recursion, "_SWEEP_SHARE", _SOURCES[source])
+        recursion._anchor(recursion._setup_of(coeffs), lam, out)
+    return out
+
+
 def test_anchor_sign_matches_backward_recursion():
     # raw eigenvectors with random column signs, so both factors occur
     rng = np.random.default_rng(4)
@@ -152,13 +167,14 @@ def test_anchor_sign_matches_backward_recursion():
             continue
         evals, vecs = scipy.linalg.eigh_tridiagonal(coeffs.w, coeffs.p_plus[:-1])
         vecs *= rng.choice((-1.0, 1.0), size=p.side)
-        setup = recursion._setup_of(coeffs)
+        anchored = _anchored("lu", coeffs, evals, vecs)
         for iy in range(p.side):
             vec = vecs[:, iy]
             istar = int(np.argmax(np.abs(vec)))
-            factor = recursion._anchor_sign(setup, evals[iy], vec)
+            factor = anchored[istar, iy] / vec[istar]
             ref = _backward_reference_sign(coeffs, evals[iy], istar)
             assert factor == (-1.0 if vec[istar] * ref < 0 else 1.0), (p, iy)
+            assert np.array_equal(anchored[:, iy], factor * vec), (p, iy)
             factors[factor] += 1
             m = p.side - 1 - istar
             if m in orders and p.side == 601:
@@ -186,19 +202,21 @@ def _singular_block_coeffs():
         w=np.zeros(4), lam=np.zeros(4))
 
 
-def test_anchor_singular_trailing_block_raises():
-    setup = recursion._setup_of(_singular_block_coeffs())
-    with pytest.raises(ss.ConvergenceFailure):
-        recursion._anchor_sign(setup, 0.0, np.array([1.0, 0.0, 0.0, 0.0]))
-
-
-def test_sturm_sweep_singular_trailing_block_raises():
-    # the first column's block T[1:, 1:] is the singular one
+def _raises_on_the_singular_block(source):
+    # every column's largest entry is its first, so its block is T[1:, 1:]
     values = np.zeros((4, 4))
     values[0] = 1.0
     with pytest.raises(ss.ConvergenceFailure,
                        match=r"trailing block: T\[1:, 1:\] - 0.0 is singular"):
-        recursion._anchor_factors(_singular_block_coeffs(), np.zeros(4), values)
+        _anchored(source, _singular_block_coeffs(), np.zeros(4), values)
+
+
+def test_anchor_singular_trailing_block_raises():
+    _raises_on_the_singular_block("lu")
+
+
+def test_sturm_sweep_singular_trailing_block_raises():
+    _raises_on_the_singular_block("sweep")
 
 
 def test_sturm_sweep_counts_a_negative_zero_ratio():
@@ -228,12 +246,9 @@ def test_sturm_sweep_matches_the_lu_anchor_on_every_column():
         coeffs = tridiag_coeffs(p)
         evals, vecs = scipy.linalg.eigh_tridiagonal(coeffs.w, coeffs.p_plus[:-1])
         vecs *= rng.choice((-1.0, 1.0), size=p.side)
-        setup = recursion._setup_of(coeffs)
-        lu = [recursion._anchor_sign(setup, evals[iy], vecs[:, iy])
-              for iy in range(p.side)]
-        factors = recursion._anchor_factors(coeffs, evals, vecs)
-        assert factors.tolist() == lu, p
-        flips += np.count_nonzero(factors < 0)
+        sweep = _anchored("sweep", coeffs, evals, vecs)
+        assert np.array_equal(sweep, _anchored("lu", coeffs, evals, vecs)), p
+        flips += np.count_nonzero(np.any(sweep != vecs, axis=0))
     assert flips > 0
 
 
@@ -266,11 +281,9 @@ def test_eigensolve_sweep_through_a_zero_ratio_is_silent(monkeypatch, quad):
         screen = ss.screen_by_eigensolve(p)
     monkeypatch.undo()
     assert np.array_equal(screen.values, ss.screen_by_eigensolve(p).values)
-    setup = recursion._setup_of(coeffs)
     raw = eigh(coeffs.w, coeffs.p_plus[:-1])[1]
-    assert recursion._anchor_factors(coeffs, coeffs.lam, raw).tolist() == [
-        recursion._anchor_sign(setup, coeffs.lam[iy], raw[:, iy])
-        for iy in range(p.side)]
+    assert np.array_equal(_anchored("sweep", coeffs, coeffs.lam, raw),
+                          _anchored("lu", coeffs, coeffs.lam, raw))
 
 
 def test_stage_timings(ref_params):
@@ -329,8 +342,9 @@ def _banded_row(coeffs, iy):
     for _ in range(recursion._SOLVES):
         row = scipy.linalg.solve_banded((1, 1), band, row)
         row /= np.linalg.norm(row)
-    return row * recursion._anchor_sign(recursion._setup_of(coeffs),
-                                        coeffs.lam[iy], row)
+    recursion._anchor(recursion._setup_of(coeffs), coeffs.lam[iy:iy + 1],
+                      row[:, None])
+    return row
 
 
 # the half-integer screens catch a norm taken over the padded right-hand
@@ -389,6 +403,18 @@ def test_row_then_screen_equals_screen_then_row():
     assert np.array_equal(row_first, row_second)
     assert np.array_equal(screen_first, screen_second)
     assert np.array_equal(row_first, screen_first[:, p.side // 2])
+
+
+def test_threeterm_screen_is_its_rows_one_at_a_time(monkeypatch):
+    # a screen is anchored by one sweep and a single row by one LU: above
+    # side 4 with the default share, and above side 1 with a share of 1
+    monkeypatch.setattr(recursion, "_SWEEP_SHARE", 1.0)
+    screens = [p for p in _anchor_screens() if p.side != 61]
+    assert screens[-1].side == 601
+    for p in screens:
+        rows = [ss.row_by_threeterm(int(two_y), p) for two_y in p.y_lattice()]
+        assert np.array_equal(ss.screen_by_threeterm(p).values,
+                              np.column_stack(rows)), p
 
 
 def test_cached_setup_is_read_only_and_results_are_writable(ref_params):

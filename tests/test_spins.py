@@ -136,3 +136,10 @@ def test_lattice_helpers(ref_params):
     assert not ref_params.contains(28, 50)
     assert ref_params.x_index(30) == 0
     assert ref_params.y_index(170) == 60
+    assert ref_params.row_index(170) == 60
+    assert ref_params.point_index(150, 52) == (60, 1)
+    with pytest.raises(ss.OutOfRange, match=r"^two_y=171 is not a lattice row$"):
+        ref_params.row_index(171)
+    with pytest.raises(ss.OutOfRange,
+                       match=r"^\(28,50\) is not on the screen lattice$"):
+        ref_params.point_index(28, 50)
