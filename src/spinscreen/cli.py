@@ -20,9 +20,11 @@ _OUTPUTS = ("screen", "caustics", "ridges", "potentials", "cos-theta3",
             "pr-compare")
 
 
-def _add_params(parser):
-    for name in ("two-a", "two-b", "two-c", "two-d"):
-        parser.add_argument("--" + name, type=int, required=True,
+def _add_params(parser, defaults=(None,) * 4):
+    """--two-a .. --two-d; one without a default is required."""
+    for name, default in zip(("two-a", "two-b", "two-c", "two-d"), defaults):
+        parser.add_argument("--" + name, type=int, default=default,
+                            required=default is None,
                             help="twice the angular momentum %s" % name[-1])
 
 
@@ -212,10 +214,7 @@ def build_parser():
                         help="fix the h entry (0 selects reduction stencils)")
     p_nine.add_argument("--reduce", action="store_true",
                         help="also run the h=0 reduction ratio check")
-    p_nine.add_argument("--two-a", type=int, default=60)
-    p_nine.add_argument("--two-b", type=int, default=90)
-    p_nine.add_argument("--two-c", type=int, default=120)
-    p_nine.add_argument("--two-d", type=int, default=110)
+    _add_params(p_nine, verify.DEFAULT_PARAMS.as_tuple())
     p_nine.add_argument("--report", default=None)
     p_nine.set_defaults(func=cmd_ninej_check)
     return parser

@@ -175,18 +175,50 @@ def _xprime_sq(X, mode):
     raise ValueError("xprime_mode must be 'shifted' or 'plain'")
 
 
-def _cos_theta3(t: Tetrahedron, xprime_mode):
-    """Broadcasting cos(theta3) from the bilinear form; NaN where a face at
-    edge X' degenerates."""
+def _edge_cos(e2, eop2, u2, v2, ub2, vb2, faces):
+    """The bilinear-form dihedral cosine at an edge e, from the squared
+    edges and faces = F1 F2, the areas of the faces (u, v, e) and
+    (ub, vb, e) at e; e and eop, u and ub, v and vb are opposite."""
+    num = (2 * e2 * eop2 + e2 * e2 - e2 * (ub2 + vb2)
+           - v2 * (e2 + vb2 - ub2) - u2 * (e2 - vb2 + ub2))
+    return num / (16.0 * faces)
+
+
+def _edge_angles(t: Tetrahedron, v):
+    """Yield (edge, length, angle, cos) for the six edges A, B, X, C, D, Y,
+    broadcasting over t and the volume v; the cosine is _edge_cos and the
+    sine comes from the volume relation 3 V e / 2 = F1 F2 sin."""
     A2, B2, C2, D2 = t.A * t.A, t.B * t.B, t.C * t.C, t.D * t.D
-    Xp2, Y2 = _xprime_sq(t.X, xprime_mode), t.Y * t.Y
-    f1sq = _area_sq(Xp2, A2, B2)
-    f2sq = _area_sq(Xp2, C2, D2)
-    num = (2 * Xp2 * Y2 - Xp2 * (-Xp2 + D2 + C2)
-           - B2 * (Xp2 + D2 - C2) - A2 * (Xp2 - D2 + C2))
-    den = 16 * np.sqrt(np.maximum(f1sq, 0.0) * np.maximum(f2sq, 0.0))
+    X2, Y2 = t.X * t.X, t.Y * t.Y
+    f_abx = _area_sq(A2, B2, X2)
+    f_cdx = _area_sq(C2, D2, X2)
+    f_ady = _area_sq(A2, D2, Y2)
+    f_bcy = _area_sq(B2, C2, Y2)
+    table = (
+        # edge, length, e2, eop2, u2, v2, ub2, vb2, face1 sq, face2 sq
+        ("A", t.A, A2, C2, B2, X2, D2, Y2, f_abx, f_ady),
+        ("B", t.B, B2, D2, A2, X2, C2, Y2, f_abx, f_bcy),
+        ("X", t.X, X2, Y2, A2, B2, C2, D2, f_abx, f_cdx),
+        ("C", t.C, C2, A2, D2, X2, B2, Y2, f_cdx, f_bcy),
+        ("D", t.D, D2, B2, C2, X2, A2, Y2, f_cdx, f_ady),
+        ("Y", t.Y, Y2, X2, A2, D2, C2, B2, f_ady, f_bcy),
+    )
+    for edge, length, e2, eop2, u2, v2, ub2, vb2, f1, f2 in table:
+        faces = np.sqrt(f1 * f2)
+        sin_e = 1.5 * v * length / faces
+        cos_e = _edge_cos(e2, eop2, u2, v2, ub2, vb2, faces)
+        yield edge, length, np.arctan2(sin_e, cos_e), cos_e
+
+
+def _cos_theta3(t: Tetrahedron, xprime_mode):
+    """Broadcasting cos(theta3): _edge_cos at edge X with X'^2 in place of
+    X^2; NaN where a face at edge X' degenerates."""
+    A2, B2, C2, D2 = t.A * t.A, t.B * t.B, t.C * t.C, t.D * t.D
+    Xp2 = _xprime_sq(t.X, xprime_mode)
+    faces = np.sqrt(np.maximum(_area_sq(A2, B2, Xp2), 0.0)
+                    * np.maximum(_area_sq(C2, D2, Xp2), 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = num / den
+        out = _edge_cos(Xp2, t.Y * t.Y, A2, B2, C2, D2, faces)
     return np.where(np.isfinite(out), out, np.nan)
 
 

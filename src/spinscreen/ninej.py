@@ -101,10 +101,13 @@ def _stencil_coeffs(ta, tb, tc, td, te, tf, tg, tj):
         -_a_q(d + 1, e, f, a, g) / ((d + 1) * (2 * d + 1)),
         -_a_q(d, e, f, a, g) / (d * (2 * d + 1)) if d > 0 else 0.0,
     ]
+    # at c = 0 the triads force a = b and f = j, so the c term is
+    # c (c + 1) -> 0 and only the d term stands; the same with c and d swapped
     center = 0.0
-    if c > 0 and d > 0:
-        center = -(_b_q(d, g, a, e, f) / (d * (d + 1))
-                   - _b_q(c, b, a, j, f) / (c * (c + 1)))
+    if c > 0:
+        center += _b_q(c, b, a, j, f) / (c * (c + 1))
+    if d > 0:
+        center -= _b_q(d, g, a, e, f) / (d * (d + 1))
     out.append(center)
     return out
 
@@ -124,26 +127,32 @@ def ninej_residual(ta, tb, tc, td, te, tf, tg, th, tj):
     return NinejResidual(residual=abs(sum(terms)), max_term=max_term)
 
 
-# draws allowed for one admissible stencil before random_stencils gives
-# up; counted per stencil, not in all as in verify's two_h sampler, so a
-# long sweep is never cut short
+# draws allowed for one admissible stencil before random_stencils gives up;
+# counted per stencil, so a long sweep is never cut short
 _DRAWS_PER_STENCIL = 200000
 
 
-def random_stencils(count, two_j_max=12, seed=0):
+def random_stencils(count, two_j_max=12, seed=0, two_h=None):
     """Admissible 9j argument tuples for residual sweeps, entries drawn
-    from 1..two_j_max.  Fewer than count come back when _DRAWS_PER_STENCIL
-    draws in a row find none, and none at once when two_j_max < 2: with
-    every entry 1 each triad sums to 3, which is odd."""
-    if two_j_max < 2:
+    from 1..two_j_max.  A two_h fixes entry 7 (h); two_h = 0 also sets
+    e = b and j = g, the stencils of the h = 0 reduction.  Fewer than count
+    come back when _DRAWS_PER_STENCIL draws in a row find none, and none,
+    before any draw, when the filter admits none: two_j_max < 2 (with every
+    entry 1 each triad sums to 3, which is odd), or two_h outside
+    0..2 two_j_max (the triad (b, e, h) bounds h)."""
+    if two_j_max < 2 or (two_h is not None and not 0 <= two_h <= 2 * two_j_max):
         return []
     rng = random.Random(seed)
     out = []
     misses = 0
     while len(out) < count and misses < _DRAWS_PER_STENCIL:
-        tjs = tuple(rng.randint(1, two_j_max) for _ in range(9))
+        tjs = [rng.randint(1, two_j_max) for _ in range(9)]
+        if two_h is not None:
+            tjs[7] = two_h
+            if two_h == 0:
+                tjs[4], tjs[8] = tjs[1], tjs[6]
         if ninej_valid(*tjs):
-            out.append(tjs)
+            out.append(tuple(tjs))
             misses = 0
         else:
             misses += 1

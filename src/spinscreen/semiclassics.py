@@ -78,38 +78,6 @@ class DihedralAngles:
                 "C": self.eta1, "D": self.eta2, "Y": self.eta3}
 
 
-def _edge_angles(t: Tetrahedron, v):
-    """Yield (edge, length, angle, cos) for the six edges A, B, X, C, D, Y.
-
-    Broadcasting: the lengths of t and the volume v may be arrays.  The
-    cosine is the edge-permuted bilinear form, the sine comes from the volume
-    relation 3 V e / 2 = F1 F2 sin, and the faces at an edge e are (u, v, e)
-    and (ub, vb, e), with (u, ub) and (v, vb) opposite.
-    """
-    A2, B2, C2, D2 = t.A * t.A, t.B * t.B, t.C * t.C, t.D * t.D
-    X2, Y2 = t.X * t.X, t.Y * t.Y
-    f_abx = geometry._area_sq(A2, B2, X2)
-    f_cdx = geometry._area_sq(C2, D2, X2)
-    f_ady = geometry._area_sq(A2, D2, Y2)
-    f_bcy = geometry._area_sq(B2, C2, Y2)
-    table = (
-        # edge, length, e2, eop2, u2, v2, ub2, vb2, face1 sq, face2 sq
-        ("A", t.A, A2, C2, B2, X2, D2, Y2, f_abx, f_ady),
-        ("B", t.B, B2, D2, A2, X2, C2, Y2, f_abx, f_bcy),
-        ("X", t.X, X2, Y2, A2, B2, C2, D2, f_abx, f_cdx),
-        ("C", t.C, C2, A2, D2, X2, B2, Y2, f_cdx, f_bcy),
-        ("D", t.D, D2, B2, C2, X2, A2, Y2, f_cdx, f_ady),
-        ("Y", t.Y, Y2, X2, A2, D2, C2, B2, f_ady, f_bcy),
-    )
-    for edge, length, e2, eop2, u2, v2, ub2, vb2, f1, f2 in table:
-        num = (2 * e2 * eop2 + e2 * e2 - e2 * (ub2 + vb2)
-               - v2 * (e2 + vb2 - ub2) - u2 * (e2 - vb2 + ub2))
-        faces = np.sqrt(f1 * f2)
-        cos_e = num / (16.0 * faces)
-        sin_e = 1.5 * v * length / faces
-        yield edge, length, np.arctan2(sin_e, cos_e), cos_e
-
-
 def dihedral_angles(t: Tetrahedron):
     """All six angles; sine from the volume relation, cosine sign from the
     edge-permuted bilinear form.  Requires a classically allowed point."""
@@ -117,7 +85,7 @@ def dihedral_angles(t: Tetrahedron):
     if not v2 > 0:
         raise OutsideDomain("volume squared is not positive")
     angles = {edge: float(angle)
-              for edge, _, angle, _ in _edge_angles(t, math.sqrt(v2))}
+              for edge, _, angle, _ in geometry._edge_angles(t, math.sqrt(v2))}
     return DihedralAngles(theta1=angles["A"], theta2=angles["B"],
                           theta3=angles["X"], eta1=angles["C"],
                           eta2=angles["D"], eta3=angles["Y"])
@@ -176,7 +144,7 @@ def _pr_grid(t: Tetrahedron):
     v = np.sqrt(np.where(classical, v2, np.nan))
     phase = np.full(np.shape(v2), math.pi / 4)
     with np.errstate(invalid="ignore", divide="ignore"):
-        for edge, length, angle, cos_e in _edge_angles(t, v):
+        for edge, length, angle, cos_e in geometry._edge_angles(t, v):
             if edge == "X":
                 cos_x = cos_e
             phase += length * angle

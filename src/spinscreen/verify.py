@@ -15,6 +15,10 @@ from .screen import ORTHONORMALITY_BOUND
 from .spins import ScreenParams
 
 
+# the screen verify and ninej-check run at when none is given
+DEFAULT_PARAMS = ScreenParams(60, 90, 120, 110)
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -226,7 +230,7 @@ CHECKS = {
 }
 
 
-def run_checks(names=None, params=None, n_random=200, seed=1234,
+def run_checks(names=None, params=DEFAULT_PARAMS, n_random=200, seed=1234,
                golden_path=None):
     """Run the selected named checks and return their results.
 
@@ -234,8 +238,6 @@ def run_checks(names=None, params=None, n_random=200, seed=1234,
     screen(method, p) is the screen of recursion.SCREEN_METHODS[method] at
     p.  It is built on the first request of this call and shared by the
     later ones, so the checks only read it."""
-    if params is None:
-        params = ScreenParams(60, 90, 120, 110)
     selected = list(CHECKS) if not names else [
         k for k in CHECKS if any(n in k for n in names)]
     # builders are looked up at each first request, so a wrapped registry
@@ -255,24 +257,11 @@ def run_checks(names=None, params=None, n_random=200, seed=1234,
 
 
 def run_ninej_checks(count=100, two_j_max=12, seed=0, two_h=None, reduce_check=False,
-                     params=None):
+                     params=DEFAULT_PARAMS):
     """Residual sweep over random stencils, plus the h=0 reduction report."""
     results = []
-    if two_h is None:
-        stencils = ninej.random_stencils(count, two_j_max=two_j_max, seed=seed)
-    else:
-        rng = random.Random(seed)
-        stencils = []
-        attempts = 0
-        while len(stencils) < count and attempts < 200000:
-            attempts += 1
-            tjs = [rng.randint(0, two_j_max) for _ in range(9)]
-            tjs[7] = two_h
-            if two_h == 0:
-                tjs[4] = tjs[1]
-                tjs[8] = tjs[6]
-            if ninej.ninej_valid(*tjs):
-                stencils.append(tuple(tjs))
+    stencils = ninej.random_stencils(count, two_j_max=two_j_max, seed=seed,
+                                     two_h=two_h)
     if not stencils:
         return None
     worst = 0.0
@@ -281,8 +270,6 @@ def run_ninej_checks(count=100, two_j_max=12, seed=0, two_h=None, reduce_check=F
     results.append(_result("ninej-residual", worst, 1e-10,
                            "%d stencils, two_j_max=%d" % (len(stencils), two_j_max)))
     if reduce_check:
-        if params is None:
-            params = ScreenParams(60, 90, 120, 110)
         rep = ninej.reduction_check(params, n_stencils=50, seed=seed)
         # a screen with no interior point leaves nothing checked: not a pass
         deviation = rep.max_ratio_deviation if rep.n_checked else np.inf

@@ -288,6 +288,16 @@ def test_ninej_check_reduce():
     assert "ninej-reduction" in cp.stdout
 
 
+# README's example and its h = 1 sibling: fixed-h stencils reach c = 0
+# and d = 0, where both exited 1 with residuals of 0.93 and 0.875
+@pytest.mark.parametrize("args", [("--two-h", "0", "--reduce"),
+                                  ("--two-h", "2")])
+def test_ninej_check_fixed_h(args):
+    cp = run_cli("ninej-check", *args)
+    assert cp.returncode == 0, cp.stdout + cp.stderr
+    assert "ninej-residual" in cp.stdout
+
+
 def test_ninej_check_reduce_without_interior_fails():
     # side 2: no interior point, so no stencil can be checked
     cp = run_cli("ninej-check", "--count", "5", "--reduce", "--two-a", "1",

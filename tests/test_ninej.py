@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -7,6 +8,7 @@ import spinscreen as ss
 from spinscreen.ninej import (_screen_raw_coeffs, _stencil_coeffs, ninej_valid,
                               random_stencils)
 from spinscreen.recursion import _cross_coeffs
+from spinscreen.spins import triad_ok
 
 
 def brute_force_ninej(tjs):
@@ -139,6 +141,65 @@ def test_random_stencils_without_admissible_stencils(monkeypatch):
     # a miss count that restarts at every stencil: 1000 draws would not
     # find 10 stencils at two_j_max 12 in all, but each is within 1000
     assert random_stencils(10, two_j_max=12) == _uncapped_stencils(10, 12, 0)
+
+
+@pytest.mark.parametrize("two_h", [0, 2, 3])
+def test_random_stencils_fix_h(two_h):
+    stencils = random_stencils(20, two_j_max=8, seed=1, two_h=two_h)
+    assert len(stencils) == 20
+    for tjs in stencils:
+        assert ninej_valid(*tjs) and tjs[7] == two_h
+        assert max(tjs) <= 8 and min(tjs[:7] + tjs[8:]) >= 1
+        if two_h == 0:
+            assert (tjs[4], tjs[8]) == (tjs[1], tjs[6])
+
+
+@pytest.mark.parametrize("two_j_max, two_h", [(0, None), (1, None), (-3, None),
+                                              (0, 4), (1, 0), (12, -2),
+                                              (12, 25), (4, 9)])
+def test_random_stencils_impossible_filters_draw_nothing(monkeypatch,
+                                                         two_j_max, two_h):
+    draws = []
+    randint = random.Random.randint
+
+    def counted(self, lo, hi):
+        draws.append((lo, hi))
+        return randint(self, lo, hi)
+
+    monkeypatch.setattr(random.Random, "randint", counted)
+    assert random_stencils(10, two_j_max, two_h=two_h) == []
+    assert draws == []
+    random_stencils(1, 12)  # the counter sees the sampler's draws
+    assert draws
+
+
+def test_random_stencils_find_every_possible_h():
+    # two_h in 0..2 two_j_max is the exact bound for two_j_max <= 4: a brute
+    # force over entries 1..two_j_max finds a stencil for each
+    for two_j_max in (2, 3, 4):
+        for two_h in range(2 * two_j_max + 1):
+            assert random_stencils(1, two_j_max, two_h=two_h), (two_j_max, two_h)
+
+
+# at c = 0 (or d = 0) the center coefficient keeps the other side's B term;
+# setting the whole center to 0 left residuals of 0.017 to 0.93 here
+@pytest.mark.parametrize("tjs", [(12, 4, 12, 0, 4, 4, 12, 0, 12),
+                                 (10, 10, 0, 2, 10, 10, 10, 0, 10),
+                                 (5, 5, 0, 6, 3, 7, 9, 2, 7),
+                                 (11, 8, 9, 0, 6, 6, 11, 2, 11),
+                                 (6, 6, 6, 0, 4, 4, 6, 2, 4)])
+def test_recurrence_residual_at_the_lattice_edge(tjs):
+    assert ss.ninej_residual(*tjs).relative <= 1e-15
+
+
+def test_recurrence_residual_on_every_small_edge_stencil():
+    # every admissible stencil with entries 0..4 and c = 0 or d = 0
+    rows = [t for t in itertools.product(range(5), repeat=3) if triad_ok(*t)]
+    stencils = [r1 + r2 + r3 for r1, r2, r3 in itertools.product(rows, repeat=3)
+                if 0 in (r1[2], r2[0]) and ninej_valid(*(r1 + r2 + r3))]
+    assert len(stencils) == 1098
+    worst = max(ss.ninej_residual(*tjs).relative for tjs in stencils)
+    assert worst <= 1e-15
 
 
 def test_recurrence_residual_zero_stencil():
