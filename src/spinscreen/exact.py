@@ -6,7 +6,6 @@ exact.  The single sum runs in exact integers, one term from the next by
 their term ratio; nothing is rounded before an explicit conversion to float.
 """
 
-import bisect
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -26,67 +25,6 @@ ORACLE_KAPPA2_CAP = 400
 # n! for n >= 0, cached: the single sums read the same few hundred
 # factorials again and again; a negative n raises ValueError
 factorial = lru_cache(maxsize=None)(math.factorial)
-
-
-@lru_cache(maxsize=None)
-def _sieve(limit):
-    """The primes up to limit inclusive, ascending."""
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = False
-    return np.flatnonzero(sieve).tolist()
-
-
-def _primes_upto(n):
-    """Primes up to n inclusive, read from the sieve of the power of two
-    above n, so the sieves cached are few."""
-    primes = _sieve(1 << max(n, 1).bit_length())
-    return primes[:bisect.bisect_right(primes, n)]
-
-
-def _legendre(n, p):
-    """Exponent of prime p in n!."""
-    total = 0
-    while n:
-        n //= p
-        total += n
-    return total
-
-
-def _sqrt_factorial_ratio(numerator_facts, denominator_facts):
-    """sqrt(prod(n_i!) / prod(d_j!)) as (k, s): value = k * sqrt(s).
-
-    k is a Fraction, s a square-free positive integer.  Works entirely on
-    prime exponent vectors, so no big integer is ever factored.
-    """
-    hi = max(list(numerator_facts) + list(denominator_facts))
-    k = Fraction(1)
-    s = 1
-    for p in _primes_upto(hi):
-        e = sum(_legendre(n, p) for n in numerator_facts)
-        e -= sum(_legendre(n, p) for n in denominator_facts)
-        r = e % 2
-        m = (e - r) // 2
-        if r:
-            s *= p
-        if m > 0:
-            k *= p ** m
-        elif m < 0:
-            k /= p ** (-m)
-    return k, s
-
-
-@lru_cache(maxsize=1 << 16)
-def _delta_parts(ta, tb, tc):
-    """sqrt of the triangle coefficient squared, as (k, s): k*sqrt(s).
-
-    Cached per triad: screens reuse each triad once per row or column.
-    """
-    return _sqrt_factorial_ratio(
-        ((ta + tb - tc) // 2, (ta - tb + tc) // 2, (-ta + tb + tc) // 2),
-        ((ta + tb + tc) // 2 + 1,))
 
 
 def _signed_sqrt_ratio(num, den, negative):
@@ -127,6 +65,27 @@ def squarefree_split(n):
                 s *= d
         d += 1 if d == 2 else 2
     return s * n, k
+
+
+def _inverse_delta_sq(ta, tb, tc):
+    """1 / Delta^2 of an admissible triad: (s+1)! / ((s-a)! (s-b)! (s-c)!)
+    with s = (a+b+c)/2, an integer since (s-a)+(s-b)+(s-c) = s."""
+    return factorial((ta + tb + tc) // 2 + 1) // (
+        factorial((ta + tb - tc) // 2) * factorial((ta - tb + tc) // 2)
+        * factorial((-ta + tb + tc) // 2))
+
+
+@lru_cache(maxsize=1 << 16)
+def _delta_parts(ta, tb, tc):
+    """Delta of an admissible triad as (k, s): Delta = k*sqrt(s) with k a
+    positive Fraction and s square-free, a unique normal form.
+
+    1/Delta^2 = s m^2 by squarefree_split, so Delta = sqrt(s) / (m s); its
+    trial division stops by (a+b+c)/2 + 1, past every prime factor.  Cached
+    per triad: screens reuse each triad once per row or column.
+    """
+    s, m = squarefree_split(_inverse_delta_sq(ta, tb, tc))
+    return Fraction(1, m * s), s
 
 
 class SqrtRational:
@@ -398,14 +357,6 @@ def sixj_zero_entry(two_a, two_b, two_x):
         return SqrtRational.zero()
     sign = (-1) ** ((two_a + two_b + two_x) // 2)
     return SqrtRational(Fraction(sign), Fraction(1, (two_b + 1) * (two_x + 1)))
-
-
-def _inverse_delta_sq(ta, tb, tc):
-    """1 / Delta^2 of an admissible triad: (s+1)! / ((s-a)! (s-b)! (s-c)!)
-    with s = (a+b+c)/2, an integer since (s-a)+(s-b)+(s-c) = s."""
-    return factorial((ta + tb + tc) // 2 + 1) // (
-        factorial((ta + tb - tc) // 2) * factorial((ta - tb + tc) // 2)
-        * factorial((-ta + tb + tc) // 2))
 
 
 def _axis_denominators(pairs, two_j):

@@ -3,8 +3,8 @@
 Doubles are written with 17 significant digits so re-reading reproduces the
 in-memory values exactly; non-finite values are written as nan.  No file
 carries timestamps or other run-varying content.  CSV tables are formatted
-and written one y row at a time; JSON grids are formatted one row at a time,
-with no whole-grid copy of the numbers.
+and written one y row at a time; a JSON grid's rows are all formatted, one
+string per cell, before json.dump writes them: a whole-grid copy as text.
 """
 
 import json
@@ -23,7 +23,7 @@ def _finite(values):
 
 
 def _text(grid):
-    """The rows of a 2-D grid as lists of %.17g strings, one row at a time."""
+    """The rows of a 2-D grid as lists of %.17g strings, all held at once."""
     return [list(map("%.17g".__mod__, _finite(row).tolist())) for row in grid]
 
 

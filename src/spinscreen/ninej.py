@@ -134,23 +134,28 @@ _DRAWS_PER_STENCIL = 200000
 
 def random_stencils(count, two_j_max=12, seed=0, two_h=None):
     """Admissible 9j argument tuples for residual sweeps, entries drawn
-    from 1..two_j_max.  A two_h fixes entry 7 (h); two_h = 0 also sets
-    e = b and j = g, the stencils of the h = 0 reduction.  Fewer than count
-    come back when _DRAWS_PER_STENCIL draws in a row find none, and none,
-    before any draw, when the filter admits none: two_j_max < 2 (with every
-    entry 1 each triad sums to 3, which is odd), or two_h outside
-    0..2 two_j_max (the triad (b, e, h) bounds h)."""
-    if two_j_max < 2 or (two_h is not None and not 0 <= two_h <= 2 * two_j_max):
+    from 1..two_j_max.  A two_h fixes entry 7 (h) and draws (b, e) and
+    (g, j) from the pairs (p, q) with triad_ok(p, two_h, q): uniform over
+    the admissible stencils with that h, however rare (two_h = 0 gives
+    e = b and j = g).  Fewer than count come back when _DRAWS_PER_STENCIL
+    draws in a row find none, and none, before any draw, when two_j_max < 2
+    (each triad of 1s sums to 3, which is odd) or no pair couples with h."""
+    if two_j_max < 2:
         return []
+    if two_h is not None:
+        pairs = [(p, q) for p in range(1, two_j_max + 1)
+                 for q in range(1, two_j_max + 1) if triad_ok(p, two_h, q)]
+        if not pairs:
+            return []
     rng = random.Random(seed)
     out = []
     misses = 0
     while len(out) < count and misses < _DRAWS_PER_STENCIL:
         tjs = [rng.randint(1, two_j_max) for _ in range(9)]
         if two_h is not None:
+            tjs[1], tjs[4] = rng.choice(pairs)
+            tjs[6], tjs[8] = rng.choice(pairs)
             tjs[7] = two_h
-            if two_h == 0:
-                tjs[4], tjs[8] = tjs[1], tjs[6]
         if ninej_valid(*tjs):
             out.append(tuple(tjs))
             misses = 0

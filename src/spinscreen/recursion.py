@@ -161,7 +161,7 @@ def screen_by_eigensolve(params: ScreenParams):
                                 / np.maximum(np.abs(coeffs.lam), 1.0)))
     screen = Screen(params=params, values=values, method="eigensolve",
                     diagnostics={"spectrum_rel_error": spectrum_err})
-    return finish(screen, laps, coeffs)
+    return finish(screen, laps)
 
 
 def _start_vector(n):
@@ -266,7 +266,7 @@ def screen_by_threeterm(params: ScreenParams):
     values = _solve_rows(params, range(params.side), laps)
     screen = Screen(params=params, values=values, method="threeterm",
                     diagnostics={})
-    return finish(screen, laps, _row_setup(params).coeffs)
+    return finish(screen, laps)
 
 
 def _cross_rows(params: ScreenParams, terms):
@@ -331,7 +331,7 @@ def _zero_pivot(params: ScreenParams, j):
                      % (params.two_y_min + 2 * j))
 
 
-def _decimal_digits(params: ScreenParams, coeffs=None):
+def _decimal_digits(params: ScreenParams):
     """Working precision of the cross propagation: 40 + ceil(G) digits.
 
     Every row of the sweep applies the same x operator [cxm, cx0, cxp] of
@@ -343,9 +343,8 @@ def _decimal_digits(params: ScreenParams, coeffs=None):
     grow.  G is the largest log10 growth of its two fundamental solutions,
     (c_0, c_1) = (1, 0) and (0, 1), over all nu and all rows: one
     eigvalsh_tridiagonal call and a float sweep over the rows, vectorized
-    over nu and rescaled every row, 3-5 ms at sides 61-201.  coeffs are
-    _cross_coeffs(params), computed when not given; a zero pivot raises
-    ZeroPivot.
+    over nu and rescaled every row, 3-5 ms at sides 61-201.  A zero pivot
+    raises ZeroPivot.
 
     Measured against the digits the sweep really loses (D + log10 of its
     largest error against the oracle, at D = ceil(G) + 10 digits), ceil(G)
@@ -360,7 +359,7 @@ def _decimal_digits(params: ScreenParams, coeffs=None):
     n = params.side
     if n < 3:
         return 40
-    cx, cy = _cross_coeffs(params) if coeffs is None else coeffs
+    cx, cy = _cross_coeffs(params)
     zero = np.flatnonzero(cy[2, 1:-1] == 0)
     if zero.size:
         raise _zero_pivot(params, int(zero[0]) + 1)
@@ -400,15 +399,12 @@ def screen_by_2d(params: ScreenParams):
     ConvergenceFailure.
     """
     laps = Laps()
-    # the stencil needs an interior point, and side 1 has ta or tc = 0
-    cross = _cross_coeffs(params) if params.side >= 3 else None
     diagnostics = {"seed_method": "exact",
-                   "precision_digits": _decimal_digits(params, cross)}
+                   "precision_digits": _decimal_digits(params)}
     values, raw_norms = _propagate_2d(params, diagnostics["precision_digits"])
     laps.lap("propagate")
     diagnostics["renorm_drift_max"] = float(np.max(np.abs(raw_norms - 1.0)))
-    diagnostics["residual_cross_max"] = _cross_residual_max(params, values,
-                                                            cross)
+    diagnostics["residual_cross_max"] = _cross_residual_max(params, values)
     laps.lap("cross_residual")
     return finish(Screen(params=params, values=values, method="recur2d",
                          diagnostics=diagnostics), laps)
@@ -474,13 +470,12 @@ def _propagate_2d(params: ScreenParams, digits):
     return values, raw_norms
 
 
-def _cross_residual_max(params: ScreenParams, values, coeffs=None):
-    """Largest five-term stencil residual over propagated rows (float);
-    coeffs are _cross_coeffs(params), computed when not given."""
+def _cross_residual_max(params: ScreenParams, values):
+    """Largest five-term stencil residual over propagated rows (float)."""
     n = params.side
     if n < 3:
         return 0.0
-    cx, cy = _cross_coeffs(params) if coeffs is None else coeffs
+    cx, cy = _cross_coeffs(params)
     u = values[:, 1:-1]
     lhs = cx[1][:, None] * u
     lhs[:-1] += cx[2, :-1, None] * u[1:]

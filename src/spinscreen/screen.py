@@ -97,19 +97,18 @@ def tridiag_coeffs(params: ScreenParams):
     return TridiagCoeffs(params=params, p_plus=p_plus, w=w, lam=lam)
 
 
-def residual_threeterm(screen: Screen, coeffs: TridiagCoeffs = None):
+def residual_threeterm(screen: Screen):
     """max over interior points of |p+ U(x+1) + (w - lambda) U(x) + p- U(x-1)|.
 
     The sum runs in panels of _PANEL columns through two buffers laid out
     as U, in the order (p+ U(x+1) + (w - lambda) U(x)) + p- U(x-1): the
     maximum is that of the whole (n-2, n) array, bit for bit.
     """
-    if coeffs is None:
-        coeffs = tridiag_coeffs(screen.params)
     U = screen.values
     n = U.shape[0]
     if n < 3:
         return 0.0
+    coeffs = tridiag_coeffs(screen.params)
     p_next, w, p_prev = (coeffs.p_plus[1:-1, None], coeffs.w[1:-1, None],
                          coeffs.p_plus[:-2, None])
     acc = np.empty_like(U[1:-1, :_PANEL], dtype=float)
@@ -128,12 +127,11 @@ def residual_threeterm(screen: Screen, coeffs: TridiagCoeffs = None):
     return largest
 
 
-def finish(screen: Screen, laps: Laps, coeffs: TridiagCoeffs = None):
+def finish(screen: Screen, laps: Laps):
     """Record what every builder's screen is judged by, each timed as a
-    stage after the builder's own: the three-term residual residual_max
-    (coeffs are tridiag_coeffs(screen.params), computed when not given),
+    stage after the builder's own: the three-term residual residual_max,
     the orthonormality defect, and the stage timings."""
-    screen.diagnostics["residual_max"] = residual_threeterm(screen, coeffs)
+    screen.diagnostics["residual_max"] = residual_threeterm(screen)
     laps.lap("residual")
     screen.diagnostics["orthonormality_defect"] = screen.orthonormality_defect()
     laps.lap("defect")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from decimal import Decimal, getcontext
@@ -10,6 +11,7 @@ import spinscreen as ss
 from spinscreen import exact
 from spinscreen.exact import (SqrtRational, _axis_denominators, _racah_sum,
                               _u_real, factorial)
+from spinscreen.spins import triad_ok
 from conftest import random_valid_quadruple, random_lattice_point
 
 
@@ -18,8 +20,9 @@ from conftest import random_valid_quadruple, random_lattice_point
 def brute_force_sixj_signed_square(tjs):
     """(sign, value^2) of a 6j by direct term-by-term rational summation.
 
-    Independent of the library path: no common denominator, no prime
-    exponent bookkeeping.
+    Independent of the library path: no common denominator, no term ratio
+    and no square-free split; each triangle coefficient squared is one
+    Fraction of plain factorials.
     """
     tj1, tj2, tj3, tj4, tj5, tj6 = tjs
     triads = [(tj1, tj2, tj3), (tj1, tj5, tj6), (tj4, tj2, tj6), (tj4, tj5, tj3)]
@@ -284,21 +287,44 @@ def test_factorial_of_a_negative_argument_raises():
         factorial(-1)
 
 
-def test_primes_upto_every_bound():
-    primes = [p for p in range(2, 1100)
-              if all(p % d for d in range(2, math.isqrt(p) + 1))]
-    for n in (0, 1, 2, 3, 4, 15, 16, 17, 1023, 1024, 1025, 1099):
-        assert exact._primes_upto(n) == [p for p in primes if p <= n], n
+# the primes up to 6001, past (a+b+c)/2 + 1 for every triad with entries
+# up to 4000
+_PRIMES = [p for p in range(2, 6002)
+           if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+def _check_delta_parts(triad):
+    k, s = exact._delta_parts(*triad)
+    assert k > 0, triad
+    assert k * k * s * exact._inverse_delta_sq(*triad) == 1, triad
+    # s square-free: every prime factor of 1/Delta^2 is at most sum/2 + 1
+    bound = sum(triad) // 2 + 1
+    assert all(s % (p * p) for p in _PRIMES if p <= bound), triad
+
+
+def test_delta_parts_normal_form_on_every_small_triad():
+    # k*sqrt(s) with k > 0 and s square-free is unique, so these pin Delta
+    for triad in itertools.product(range(41), repeat=3):
+        if triad_ok(*triad):
+            _check_delta_parts(triad)
+
+
+def test_delta_parts_normal_form_on_random_large_triads():
+    rng = random.Random(1)
+    for _ in range(2000):
+        ta, tb = rng.randint(0, 4000), rng.randint(0, 4000)
+        tc = rng.randrange(abs(ta - tb), min(ta + tb, 4000) + 1, 2)
+        _check_delta_parts((ta, tb, tc))
 
 
 def test_concurrent_evaluation():
-    # the factorial, prime and triad caches are shared: threads filling
-    # them at once must read the same values a single thread does
+    # the factorial and triad caches are shared: threads filling them at
+    # once must read the same values a single thread does
     import sys
     import threading
     p = ss.screen_ranges(20, 30, 40, 36)
     expected = ss.sixj_exact(20, 30, p.two_x_min + 4, 40, 36, p.two_y_min + 4)
-    for cache in (factorial, exact._sieve, exact._delta_parts):
+    for cache in (factorial, exact._delta_parts):
         cache.cache_clear()
     results = []
 

@@ -154,6 +154,17 @@ def test_random_stencils_fix_h(two_h):
             assert (tjs[4], tjs[8]) == (tjs[1], tjs[6])
 
 
+def test_random_stencils_find_a_rare_h():
+    # at two_j_max 12, h = 24 forces b = e = g = j = 12, which at most one
+    # draw of every entry in 12^4 hits
+    stencils = random_stencils(5, 12, two_h=24)
+    assert len(stencils) == 5
+    for tjs in stencils:
+        assert ninej_valid(*tjs) and tjs[7] == 24
+        assert (tjs[1], tjs[4], tjs[6], tjs[8]) == (12, 12, 12, 12)
+        assert min(tjs) >= 1 and max(tjs[:7]) <= 12
+
+
 @pytest.mark.parametrize("two_j_max, two_h", [(0, None), (1, None), (-3, None),
                                               (0, 4), (1, 0), (12, -2),
                                               (12, 25), (4, 9)])

@@ -807,7 +807,7 @@ def test_residual_panels_equal_the_dense_formula(quad):
               np.asfortranarray(noise)):
         screen = ss.Screen(params=p, values=u, method="eigensolve")
         expected = _dense_residual(u, coeffs) if p.side >= 3 else 0.0
-        assert residual_threeterm(screen, coeffs) == expected, p.side
+        assert residual_threeterm(screen) == expected, p.side
 
 
 def test_residual_threeterm_on_oracle(ref_params, ref_oracle):
