@@ -41,7 +41,7 @@ print("\n6j estimate %.6e vs exact %.6e"
       % (est, eig.u(900, 1100) / norm))
 
 # the full-screen comparison: accurate in the core, degrading on caustics
-cmp = ss.pr_compare(params, reference=eig)
+cmp = ss.pr_compare(eig)
 s = cmp.summary
 print("core (|cos theta3| <= 0.5): median-scale errors, p99 = %.2f%%"
       % (100 * s["core_p99_rel_error"]))

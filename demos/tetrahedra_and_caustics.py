@@ -40,14 +40,14 @@ print("V^2 on the upper caustic: %.2e (Vmax^2 = %.2e)"
 
 # the dihedral cosine at edge X: |cos| < 1 inside the classical region,
 # |cos| > 1 outside; the recursion coefficients are built from it
-c3 = ss.cos_theta3_grid(params, "plain")
+c3 = ss.cos_theta3_grid(params)
 print("\ncos(theta3) at the center: %.4f" % c3[i, i])
 print("cos(theta3) in a forbidden corner: %.4f" % c3[0, -1])
 
 # geometric approximations to the recursion coefficients
 from spinscreen.recursion import tridiag_coeffs
 coeffs = tridiag_coeffs(params)
-g = ss.geometric_coeffs(90, 110, params, "shifted")
+g = ss.geometric_coeffs(90, 110, params)
 k = params.x_index(90)
 print("\np+ exact %.6f vs area-form %.6f vs mean-form %.6f"
       % (coeffs.p_plus[k], g.p_plus, g.p_plus_gm))

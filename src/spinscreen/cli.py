@@ -5,7 +5,6 @@ failure.
 """
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -99,7 +98,7 @@ def cmd_compute(args):
             geometry.potentials(params, "geometric"), path)
         written.append(path)
     if "cos-theta3" in outputs:
-        grid = geometry.cos_theta3_grid(params, "plain")
+        grid = geometry.cos_theta3_grid(params)
         path = "%s_cos_theta3.%s" % (base, args.format)
         if args.format == "csv":
             exports.write_field_csv(params, grid, "cos_theta3", path)
@@ -107,7 +106,7 @@ def cmd_compute(args):
             exports.write_field_json(params, grid, "cos_theta3", path)
         written.append(path)
     if "pr-compare" in outputs:
-        comparison = semiclassics.pr_compare(params, reference=screen)
+        comparison = semiclassics.pr_compare(screen)
         path = base + "_pr_compare.csv"
         exports.write_pr_compare_csv(comparison, path)
         written.append(path)
@@ -131,12 +130,6 @@ def _print_results(results):
             r.value, r.threshold, r.detail))
 
 
-def _write_report(results, path):
-    with open(path, "w") as fh:
-        json.dump(verify.results_report(results), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
 def cmd_verify(args):
     params = _params_from(args)
     if params is None:
@@ -150,7 +143,7 @@ def cmd_verify(args):
         return 2
     _print_results(results)
     if args.report:
-        _write_report(results, args.report)
+        exports._write_json(verify.results_report(results), args.report)
         print("report written to %s" % args.report)
     return 0 if all(r.passed for r in results) else 1
 
@@ -170,7 +163,7 @@ def cmd_ninej_check(args):
         return 2
     _print_results(results)
     if args.report:
-        _write_report(results, args.report)
+        exports._write_json(verify.results_report(results), args.report)
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -167,27 +167,18 @@ def ridges_and_caustics(params: ScreenParams):
                        y_samples=t.Y, x_ridge=x_ridge)
 
 
-def _xprime_sq(X, mode):
-    if mode == "shifted":
-        return X * X - 0.25
-    if mode == "plain":
-        return X * X
-    raise ValueError("xprime_mode must be 'shifted' or 'plain'")
-
-
-def _edge_cos(e2, eop2, u2, v2, ub2, vb2, faces):
-    """The bilinear-form dihedral cosine at an edge e, from the squared
-    edges and faces = F1 F2, the areas of the faces (u, v, e) and
-    (ub, vb, e) at e; e and eop, u and ub, v and vb are opposite."""
-    num = (2 * e2 * eop2 + e2 * e2 - e2 * (ub2 + vb2)
-           - v2 * (e2 + vb2 - ub2) - u2 * (e2 - vb2 + ub2))
-    return num / (16.0 * faces)
+def _edge_cos_num(e2, eop2, u2, v2, ub2, vb2):
+    """16 F1 F2 times the bilinear-form dihedral cosine at an edge e, from
+    the squared edges, where F1 and F2 are the areas of the faces (u, v, e)
+    and (ub, vb, e) at e; e and eop, u and ub, v and vb are opposite."""
+    return (2 * e2 * eop2 + e2 * e2 - e2 * (ub2 + vb2)
+            - v2 * (e2 + vb2 - ub2) - u2 * (e2 - vb2 + ub2))
 
 
 def _edge_angles(t: Tetrahedron, v):
     """Yield (edge, length, angle, cos) for the six edges A, B, X, C, D, Y,
-    broadcasting over t and the volume v; the cosine is _edge_cos and the
-    sine comes from the volume relation 3 V e / 2 = F1 F2 sin."""
+    broadcasting over t and the volume v; the cosine is from _edge_cos_num
+    and the sine comes from the volume relation 3 V e / 2 = F1 F2 sin."""
     A2, B2, C2, D2 = t.A * t.A, t.B * t.B, t.C * t.C, t.D * t.D
     X2, Y2 = t.X * t.X, t.Y * t.Y
     f_abx = _area_sq(A2, B2, X2)
@@ -206,61 +197,62 @@ def _edge_angles(t: Tetrahedron, v):
     for edge, length, e2, eop2, u2, v2, ub2, vb2, f1, f2 in table:
         faces = np.sqrt(f1 * f2)
         sin_e = 1.5 * v * length / faces
-        cos_e = _edge_cos(e2, eop2, u2, v2, ub2, vb2, faces)
+        cos_e = _edge_cos_num(e2, eop2, u2, v2, ub2, vb2) / (16.0 * faces)
         yield edge, length, np.arctan2(sin_e, cos_e), cos_e
 
 
-def _cos_theta3(t: Tetrahedron, xprime_mode):
-    """Broadcasting cos(theta3): _edge_cos at edge X with X'^2 in place of
-    X^2; NaN where a face at edge X' degenerates."""
+def _cos_theta3(t: Tetrahedron):
+    """Broadcasting cos(theta3), the bilinear-form cosine at edge X; NaN
+    where a face at edge X degenerates."""
     A2, B2, C2, D2 = t.A * t.A, t.B * t.B, t.C * t.C, t.D * t.D
-    Xp2 = _xprime_sq(t.X, xprime_mode)
-    faces = np.sqrt(np.maximum(_area_sq(A2, B2, Xp2), 0.0)
-                    * np.maximum(_area_sq(C2, D2, Xp2), 0.0))
+    X2 = t.X * t.X
+    faces = np.sqrt(np.maximum(_area_sq(A2, B2, X2), 0.0)
+                    * np.maximum(_area_sq(C2, D2, X2), 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = _edge_cos(Xp2, t.Y * t.Y, A2, B2, C2, D2, faces)
+        out = _edge_cos_num(X2, t.Y * t.Y, A2, B2, C2, D2) / (16.0 * faces)
     return np.where(np.isfinite(out), out, np.nan)
 
 
-def cos_theta3(t: Tetrahedron, xprime_mode="shifted"):
+def cos_theta3(t: Tetrahedron):
     """Cosine at edge X from the bilinear form; may exceed 1 in magnitude
     outside the classical region (that is the forbidden-zone signal)."""
-    c = float(_cos_theta3(t, xprime_mode))
+    c = float(_cos_theta3(t))
     if math.isnan(c):
-        raise DegenerateFace("face area vanishes at edge X' (mode %s)" % xprime_mode)
+        raise DegenerateFace("face area vanishes at edge X")
     return c
 
 
-def sin_theta3(t: Tetrahedron, xprime_mode="plain"):
-    """Sine at edge X from 3VX'/2 = F F sin(theta3); nonnegative branch."""
+def _faces_sq_at_x(t: Tetrahedron):
+    """F1^2 F2^2, the squared areas of the two faces at edge X multiplied;
+    DegenerateFace unless both are positive."""
+    f1sq = _area_sq(t.X ** 2, t.A ** 2, t.B ** 2)
+    f2sq = _area_sq(t.X ** 2, t.C ** 2, t.D ** 2)
+    if f1sq <= 0 or f2sq <= 0:
+        raise DegenerateFace("face area vanishes at edge X")
+    return f1sq * f2sq
+
+
+def sin_theta3(t: Tetrahedron):
+    """Sine at edge X from 3VX/2 = F F sin(theta3); nonnegative branch."""
     v2 = volume_sq(t)
     if v2 < 0:
         raise DegenerateFace("sin(theta3) undefined outside classical region")
-    Xp2 = _xprime_sq(t.X, xprime_mode)
-    f1sq = _area_sq(Xp2, t.A ** 2, t.B ** 2)
-    f2sq = _area_sq(Xp2, t.C ** 2, t.D ** 2)
-    if f1sq <= 0 or f2sq <= 0:
-        raise DegenerateFace("face area vanishes at edge X'")
-    return 1.5 * math.sqrt(v2) * math.sqrt(Xp2) / math.sqrt(f1sq * f2sq)
+    return 1.5 * math.sqrt(v2) * t.X / math.sqrt(_faces_sq_at_x(t))
 
 
 def cos_theta3_magnitude(t: Tetrahedron):
     """|cos(theta3)| from the volume route: sqrt(1 - (3VX/(2 F F))^2)."""
     v2 = volume_sq(t)
-    f1sq = _area_sq(t.X ** 2, t.A ** 2, t.B ** 2)
-    f2sq = _area_sq(t.X ** 2, t.C ** 2, t.D ** 2)
-    if f1sq <= 0 or f2sq <= 0:
-        raise DegenerateFace("face area vanishes at edge X")
-    val = 1.0 - (9.0 * v2 * t.X ** 2) / (4.0 * f1sq * f2sq)
+    val = 1.0 - (9.0 * v2 * t.X ** 2) / (4.0 * _faces_sq_at_x(t))
     return math.sqrt(max(val, 0.0))
 
 
-def cos_theta3_grid(params: ScreenParams, xprime_mode="plain"):
+def cos_theta3_grid(params: ScreenParams):
     """Vectorized cos(theta3) over the whole lattice, shape (nx, ny).
 
     NaN where a face degenerates; magnitudes above 1 mark forbidden points.
     """
-    return _cos_theta3(_whole_lattice(params), xprime_mode)
+    return _cos_theta3(_whole_lattice(params))
 
 
 def volume_sq_grid(params: ScreenParams):
@@ -280,16 +272,18 @@ class GeometricCoeffs:
     w_lambda_gm: float
 
 
-def geometric_coeffs(two_x, two_y, params: ScreenParams, xprime_mode="shifted"):
+def geometric_coeffs(two_x, two_y, params: ScreenParams):
     """Area-form and geometric-mean-form coefficient approximations.
 
     Both are scaled by 8 to compare directly with the exact three-term
     coefficients; the area form is the accurate one, the geometric-mean
-    form (which uses X' = X) is the rougher comparison target.
+    form the rougher comparison target.  Each w term is -16 F1 F2
+    cos(theta3) / X'^2 at an edge X', that is -_edge_cos_num / X'^2, with
+    X'^2 = X^2 - 1/4 in the area form and X' = X in the geometric-mean form.
     """
     t = Tetrahedron.from_two_j(params, two_x, two_y)
     A2, B2, C2, D2 = t.A ** 2, t.B ** 2, t.C ** 2, t.D ** 2
-    X = t.X
+    X, Y2 = t.X, t.Y ** 2
 
     def area(x2_edge, e1sq, e2sq):
         s = _area_sq(x2_edge, e1sq, e2sq)
@@ -297,21 +291,19 @@ def geometric_coeffs(two_x, two_y, params: ScreenParams, xprime_mode="shifted"):
             raise DegenerateFace("face degenerates at X=%g" % X)
         return math.sqrt(s)
 
+    # area^2 is concave in X^2, so faces positive at X -+ 1/2 are positive
+    # at the area form's X' as well
     f_ab = {dx: area((X + dx) ** 2, A2, B2) for dx in (-1.0, -0.5, 0.0, 0.5, 1.0)}
     f_cd = {dx: area((X + dx) ** 2, C2, D2) for dx in (-1.0, -0.5, 0.0, 0.5, 1.0)}
     p_minus = 8 * f_ab[-0.5] * f_cd[-0.5] / (X - 0.5) ** 2
     p_plus = 8 * f_ab[0.5] * f_cd[0.5] / (X + 0.5) ** 2
-    ct_sel = cos_theta3(t, xprime_mode)
-    xp2 = _xprime_sq(X, xprime_mode)
-    f1p = area(xp2, A2, B2)
-    f2p = area(xp2, C2, D2)
-    w_lambda = -16 * ct_sel * f1p * f2p / xp2
+    xp2 = X * X - 0.25
+    w_lambda = -_edge_cos_num(xp2, Y2, A2, B2, C2, D2) / xp2
     p_minus_gm = 8 * math.sqrt(f_ab[-1.0] * f_ab[0.0] * f_cd[-1.0] * f_cd[0.0]) \
         / (X * (X - 1))
     p_plus_gm = 8 * math.sqrt(f_ab[1.0] * f_ab[0.0] * f_cd[1.0] * f_cd[0.0]) \
         / (X * (X + 1))
-    ct_plain = cos_theta3(t, "plain")
-    w_lambda_gm = -16 * ct_plain * f_ab[0.0] * f_cd[0.0] / (X * X)
+    w_lambda_gm = -_edge_cos_num(X * X, Y2, A2, B2, C2, D2) / (X * X)
     return GeometricCoeffs(p_minus=p_minus, p_plus=p_plus, w_lambda=w_lambda,
                            p_minus_gm=p_minus_gm, p_plus_gm=p_plus_gm,
                            w_lambda_gm=w_lambda_gm)
@@ -370,8 +362,7 @@ def f_residual(f_values, params: ScreenParams, two_y):
     NaN at the two ends and wherever f or cos(theta3) is not finite.
     """
     params.row_index(two_y)
-    c3 = _cos_theta3(Tetrahedron.from_two_j(params, params.x_lattice(), two_y),
-                     "plain")
+    c3 = _cos_theta3(Tetrahedron.from_two_j(params, params.x_lattice(), two_y))
     f = np.asarray(f_values, dtype=float)
     finite = np.isfinite(f)
     good = finite[:-2] & finite[1:-1] & finite[2:] & np.isfinite(c3[1:-1])

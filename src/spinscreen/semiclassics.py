@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import geometry, recursion
+from . import geometry
 from .errors import CausticProximityWarning, NoClassicalWindow, OutsideDomain
 from .geometry import Tetrahedron
 from .spins import ScreenParams
@@ -19,7 +19,7 @@ def local_momentum(two_x, two_y, params: ScreenParams):
     t = Tetrahedron.from_two_j(params, two_x, two_y)
     if geometry._volume_sq(t) < 0:
         raise OutsideDomain("(%d,%d) is classically forbidden" % (two_x, two_y))
-    c3 = geometry.cos_theta3(t, "plain")
+    c3 = geometry.cos_theta3(t)
     return math.sqrt(max(2.0 - 2.0 * min(c3, 1.0), 0.0))
 
 
@@ -39,7 +39,7 @@ def bohr_sommerfeld(two_y, params: ScreenParams):
     """
     params.row_index(two_y)
     t = Tetrahedron.from_two_j(params, params.x_lattice(), two_y)
-    c3 = geometry._cos_theta3(t, "plain")
+    c3 = geometry._cos_theta3(t)
     xs = t.X
     inside = np.isfinite(c3) & (np.abs(c3) <= 1.0)
     if not inside.any():
@@ -152,22 +152,19 @@ def _pr_grid(t: Tetrahedron):
     return est, phase, cos_x, v, classical
 
 
-def pr_compare(params: ScreenParams, reference=None):
-    """Full-screen error report of the stationary-phase estimate.
+def pr_compare(reference):
+    """Full-screen error report of the stationary-phase estimate against a
+    Screen of reference values, at the screen's parameters.
 
-    reference: a Screen of exact-method or eigensolver values (defaults to
-    the eigensolver, whose 1e-10 accuracy is negligible at semiclassical
-    error scales).  Relative errors exclude near-zeros of the oscillation:
+    The reference may be exact (oracle) or eigensolver values: the
+    eigensolver's 1e-10 accuracy is negligible at semiclassical error
+    scales.  Relative errors exclude near-zeros of the oscillation:
     points where |reference| < 5% of the local envelope.  The "core"
     statistics additionally restrict to |cos(theta3)| <= 0.5 and keep
     max(2, side // 100) lattice steps away from the screen boundary, where
     the estimate degrades with the face areas.
     """
-    if reference is None:
-        reference = recursion.screen_by_eigensolve(params)
-    elif reference.params != params:
-        raise ValueError("reference screen has parameters %s, not %s"
-                         % (reference.params.as_tuple(), params.as_tuple()))
+    params = reference.params
     est, _, cos_x, v, classical = _pr_grid(geometry._whole_lattice(params))
     xs = params.x_lattice()
     ys = params.y_lattice()

@@ -114,7 +114,8 @@ def check_unit_sixj(params, rng, n_random, screen):
         tb = rng.randint(0, 20)
         tx = rng.choice(range(abs(ta - tb), ta + tb + 1, 2))
         dt = rng.choice((-2, 0, 2))
-        args = (tb, tx + dt, ta, 2, ta, tx)
+        de = rng.choice((-2, 0, 2))
+        args = (tb, tx + dt, ta, 2, ta + de, tx)
         if min(args) < 0:
             continue
         try:

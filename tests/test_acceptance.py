@@ -167,7 +167,7 @@ def test_criterion_07_geometric_coefficients(big_params):
     worst_pp = worst_pp_gm = worst_wl = 0.0
     for k in range(n // 4, 3 * n // 4):
         tx = int(big_params.x_lattice()[k])
-        g = ss.geometric_coeffs(tx, ty0, big_params, "shifted")
+        g = ss.geometric_coeffs(tx, ty0, big_params)
         pp = coeffs.p_plus[k]
         worst_pp = max(worst_pp, abs(g.p_plus - pp) / pp)
         worst_pp_gm = max(worst_pp_gm, abs(g.p_plus_gm - pp) / pp)
@@ -182,7 +182,7 @@ def test_criterion_07_geometric_coefficients(big_params):
 
 
 def test_criterion_08_ponzano_regge(big_params, big_eig):
-    cmp = ss.pr_compare(big_params, reference=big_eig)
+    cmp = ss.pr_compare(big_eig)
     s = cmp.summary
     assert s["n_core"] > 50000
     assert s["core_p99_rel_error"] <= 0.05

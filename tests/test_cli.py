@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import spinscreen as ss
-from spinscreen import cli, exports, verify
+from spinscreen import cli, exact, exports, verify
 
 
 def run_cli(*args, env=None):
@@ -82,7 +82,7 @@ def test_compute_cos_theta3_json(tmp_path):
     p = ss.screen_ranges(6, 8, 10, 8)
     assert len(payload["cos_theta3"]) == p.side
     ref = tmp_path / "reference.json"
-    exports.write_field_json(p, ss.cos_theta3_grid(p, "plain"), "cos_theta3",
+    exports.write_field_json(p, ss.cos_theta3_grid(p), "cos_theta3",
                              ref)
     assert written.read_bytes() == ref.read_bytes()
 
@@ -214,6 +214,29 @@ def test_verify_single_check(tmp_path):
     assert payload["passed"] is True
     assert len(payload["checks"]) == 1
     assert payload["checks"][0]["name"] == "regge-invariance"
+
+
+def test_verify_report_is_the_exports_json_text(tmp_path):
+    # reports are written as the exports JSON files are: one-space indent,
+    # sorted keys and a final newline
+    report = tmp_path / "report.json"
+    cp = run_cli("verify", *SMALL, "--check", "unit", "--report", str(report))
+    assert cp.returncode == 0, cp.stderr
+    text = report.read_text()
+    assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n"
+    assert text.startswith('{\n "checks": [\n  {\n   "detail": ')
+
+
+def test_verify_unit_sixj_dispatches_every_family(monkeypatch):
+    calls = dict.fromkeys(exact._FAMILIES, 0)
+    for key, family in exact._FAMILIES.items():
+        def counted(*args, key=key, family=family):
+            calls[key] += 1
+            return family(*args)
+        monkeypatch.setitem(exact._FAMILIES, key, counted)
+    (result,) = verify.run_checks(names=["unit-sixj"])
+    assert result.passed
+    assert all(calls.values()), calls
 
 
 def test_verify_unknown_check():

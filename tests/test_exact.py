@@ -204,6 +204,16 @@ def test_sixj_unit_matches_exact():
         checked += 1
 
 
+def test_sixj_unit_matches_exact_on_every_small_tuple():
+    # every placement of the unit entry and every closed-form family
+    checked = 0
+    for args in itertools.product(range(7), repeat=6):
+        if 2 in args:
+            assert ss.sixj_unit(*args) == ss.sixj_exact(*args), args
+            checked += 1
+    assert checked == 7 ** 6 - 6 ** 6
+
+
 def test_sixj_unit_specific_pattern():
     # {b x-1 a; 1 a x} at a=b=x=1 (two-j 2)
     args = (2, 0, 2, 2, 2, 2)

@@ -161,7 +161,7 @@ def test_caustic_ordering(ref_params):
 
 def test_cos_theta3_regular_tetrahedron():
     t = Tetrahedron(2, 2, 2, 2, 2, 2)
-    assert ss.cos_theta3(t, "plain") == pytest.approx(-1.0 / 3.0, rel=1e-12)
+    assert ss.cos_theta3(t) == pytest.approx(-1.0 / 3.0, rel=1e-12)
 
 
 def test_cos_theta3_unit_magnitude_on_caustic(ref_params):
@@ -173,8 +173,7 @@ def test_cos_theta3_unit_magnitude_on_caustic(ref_params):
             if not np.isfinite(Yv):
                 continue
             try:
-                c = ss.cos_theta3(Tetrahedron(A, B, C, D, float(Xv), float(Yv)),
-                                  "plain")
+                c = ss.cos_theta3(Tetrahedron(A, B, C, D, float(Xv), float(Yv)))
             except ss.DegenerateFace:
                 continue
             assert abs(abs(c) - 1.0) < 1e-9
@@ -182,28 +181,24 @@ def test_cos_theta3_unit_magnitude_on_caustic(ref_params):
     assert count > 20
 
 
-@pytest.mark.parametrize("mode", ["plain", "shifted"])
-def test_cos_theta3_scalar_matches_grid_bitwise(ref_params, mode):
-    grid = ss.cos_theta3_grid(ref_params, mode)
-    xs, ys = ref_params.x_lattice(), ref_params.y_lattice()
+# the reference screen, and one whose x lattice starts at x = 0
+@pytest.mark.parametrize("quad", [(60, 90, 120, 110), (8, 8, 10, 10)],
+                         ids=["plain", "x-zero"])
+def test_cos_theta3_scalar_matches_grid_bitwise(quad):
+    params = ss.screen_ranges(*quad)
+    grid = ss.cos_theta3_grid(params)
+    xs, ys = params.x_lattice(), params.y_lattice()
     n_point = 0
     for ix, tx in enumerate(xs):
         for iy, ty in enumerate(ys):
-            t = Tetrahedron.from_two_j(ref_params, int(tx), int(ty))
+            t = Tetrahedron.from_two_j(params, int(tx), int(ty))
             if np.isnan(grid[ix, iy]):
                 with pytest.raises(ss.DegenerateFace):
-                    ss.cos_theta3(t, mode)
+                    ss.cos_theta3(t)
                 continue
-            assert ss.cos_theta3(t, mode) == grid[ix, iy]
+            assert ss.cos_theta3(t) == grid[ix, iy]
             n_point += 1
-    assert n_point > 0.9 * ref_params.side ** 2
-
-
-def test_cos_theta3_grid_rejects_unknown_mode(ref_params):
-    with pytest.raises(ValueError):
-        ss.cos_theta3_grid(ref_params, "bogus")
-    with pytest.raises(ValueError):
-        ss.cos_theta3(Tetrahedron(2, 2, 2, 2, 2, 2), "bogus")
+    assert n_point > 0.9 * params.side ** 2
 
 
 def test_sin_cos_pythagorean_identity(ref_params):
@@ -215,8 +210,8 @@ def test_sin_cos_pythagorean_identity(ref_params):
         t = Tetrahedron.from_two_j(ref_params, tx, ty)
         if ss.volume_sq(t) <= 0:
             continue
-        c = ss.cos_theta3(t, "plain")
-        s = ss.sin_theta3(t, "plain")
+        c = ss.cos_theta3(t)
+        s = ss.sin_theta3(t)
         assert s * s + c * c == pytest.approx(1.0, abs=1e-10)
         found += 1
 
@@ -231,13 +226,13 @@ def test_cos_theta3_volume_route_magnitude(ref_params):
         if ss.volume_sq(t) <= 0:
             continue
         assert cos_theta3_magnitude(t) == pytest.approx(
-            abs(ss.cos_theta3(t, "plain")), abs=1e-10)
+            abs(ss.cos_theta3(t)), abs=1e-10)
         found += 1
 
 
 def test_degenerate_face_raises():
     with pytest.raises(ss.DegenerateFace):
-        ss.cos_theta3(Tetrahedron(1, 1, 1, 1, 2, 1), "plain")
+        ss.cos_theta3(Tetrahedron(1, 1, 1, 1, 2, 1))
 
 
 def test_geometric_coeffs_accuracy(ref_params):
@@ -247,7 +242,7 @@ def test_geometric_coeffs_accuracy(ref_params):
     n = ref_params.side
     for k in range(n // 4, 3 * n // 4):
         tx = int(ref_params.x_lattice()[k])
-        g = ss.geometric_coeffs(tx, ty, ref_params, "shifted")
+        g = ss.geometric_coeffs(tx, ty, ref_params)
         assert g.p_plus == pytest.approx(coeffs.p_plus[k], rel=1e-3)
         wl = coeffs.w[k] - coeffs.lam[iy]
         assert g.w_lambda == pytest.approx(wl, rel=1e-3)
@@ -262,7 +257,7 @@ def test_geometric_mean_form_less_accurate(ref_params):
     err32 = 0.0
     for k in range(n // 4, 3 * n // 4):
         tx = int(ref_params.x_lattice()[k])
-        g = ss.geometric_coeffs(tx, ty, ref_params, "shifted")
+        g = ss.geometric_coeffs(tx, ty, ref_params)
         err25 = max(err25, abs(g.p_plus - coeffs.p_plus[k]) / coeffs.p_plus[k])
         err32 = max(err32, abs(g.p_plus_gm - coeffs.p_plus[k]) / coeffs.p_plus[k])
     assert err32 > err25
@@ -322,7 +317,7 @@ def test_f_transform_residual_big_params(big_params, big_eig):
     row = big_eig.values[:, mid]
     f = ss.f_transform(row, big_params, ty)
     res = f_residual(f, big_params, ty)
-    c3 = ss.cos_theta3_grid(big_params, "plain")[:, mid]
+    c3 = ss.cos_theta3_grid(big_params)[:, mid]
     n = big_params.side
     inset = np.zeros(n, dtype=bool)
     inset[5:n - 5] = True
@@ -333,7 +328,7 @@ def test_f_transform_residual_big_params(big_params, big_eig):
 
 def _f_residual_by_loop(f_values, params, two_y):
     """Reference: the residual read from one column of the (n, n) grid."""
-    c3 = ss.cos_theta3_grid(params, "plain")[:, params.y_index(two_y)]
+    c3 = ss.cos_theta3_grid(params)[:, params.y_index(two_y)]
     res = np.full(len(f_values), np.nan)
     for k in range(1, len(f_values) - 1):
         trio = f_values[k - 1:k + 2]

@@ -68,7 +68,7 @@ def test_internal_imports_are_acyclic():
         visit(name)
 
 
-@pytest.mark.parametrize("name", ["screen", "exact", "geometry"])
+@pytest.mark.parametrize("name", ["screen", "exact", "geometry", "semiclassics"])
 def test_the_screen_contract_does_not_reach_recursion(name):
     reached, todo = set(), [name]
     while todo:

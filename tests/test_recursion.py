@@ -615,6 +615,15 @@ def test_mode_growth_tracks_the_digits_lost(mid_params, mid_oracle):
     assert np.max(np.abs(values - mid_oracle.values)) > 1e-8
 
 
+def test_screen_eigensolve_maps_a_linalg_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
+    with pytest.raises(ss.ConvergenceFailure, match="did not converge"):
+        ss.screen_by_eigensolve(ss.screen_ranges(8, 10, 12, 10))
+
+
 def test_screen_2d_null_row_raises_convergence_failure(monkeypatch):
     monkeypatch.setattr(ss.exact, "u_exact",
                         lambda two_x, two_y, params: ss.SqrtRational.zero())

@@ -13,7 +13,7 @@ from spinscreen.semiclassics import _pr_grid
 def test_local_momentum_values(ref_params):
     # p = sqrt(2 - 2 cos(theta3)): cos=1 -> 0, cos=0 -> sqrt(2), cos=-1 -> 2
     v2 = volume_sq_grid(ref_params)
-    c3 = ss.cos_theta3_grid(ref_params, "plain")
+    c3 = ss.cos_theta3_grid(ref_params)
     xs, ys = ref_params.x_lattice(), ref_params.y_lattice()
     checked = 0
     for i in range(ref_params.side):
@@ -43,7 +43,7 @@ def test_momentum_vanishes_on_caustic(ref_params):
                 continue
             t = Tetrahedron(A, B, C, D, float(data.x_samples[i]), float(Yv))
             try:
-                c = ss.cos_theta3(t, "plain")
+                c = ss.cos_theta3(t)
             except ss.DegenerateFace:
                 continue
             p = math.sqrt(max(2 - 2 * min(c, 1.0), 0.0))
@@ -70,7 +70,7 @@ def test_dihedral_theta3_consistent_with_cos(ref_params):
             continue
         ang = ss.dihedral_angles(t)
         assert ang.theta3 == pytest.approx(
-            math.acos(np.clip(ss.cos_theta3(t, "plain"), -1, 1)), abs=1e-10)
+            math.acos(np.clip(ss.cos_theta3(t), -1, 1)), abs=1e-10)
         for v in ang.as_dict().values():
             assert 0.0 <= v <= math.pi
         found += 1
@@ -128,7 +128,7 @@ def test_pr_amplitude_smallest_case():
 
 
 def test_pr_amplitude_caustic_warning(ref_params):
-    c3 = ss.cos_theta3_grid(ref_params, "plain")
+    c3 = ss.cos_theta3_grid(ref_params)
     v2 = volume_sq_grid(ref_params)
     xs, ys = ref_params.x_lattice(), ref_params.y_lattice()
     pick = None
@@ -165,8 +165,21 @@ def test_pr_grid_matches_scalar(ref_params):
     assert np.count_nonzero(classical) > 1000
 
 
+def test_pr_phase_is_the_grid_phase(ref_params):
+    # as in test_pr_grid_matches_scalar, the scalar and vectorized angles
+    # may differ in their last bits
+    _, phase, _, _, classical = _pr_grid(_whole_lattice(ref_params))
+    i, j = ref_params.point_index(90, 110)
+    assert classical[i, j]
+    assert ss.pr_phase(90, 110, ref_params) == pytest.approx(
+        phase[i, j], rel=4 * np.finfo(float).eps)
+    assert not classical[ref_params.point_index(30, 50)]
+    with pytest.raises(ss.OutsideDomain):
+        ss.pr_phase(30, 50, ref_params)
+
+
 def test_pr_compare_ref_params(ref_params, ref_oracle):
-    cmp = ss.pr_compare(ref_params, reference=ref_oracle)
+    cmp = ss.pr_compare(ref_oracle)
     assert cmp.estimate.shape == (ref_params.side, ref_params.side)
     s = cmp.summary
     assert s["reference_method"] == "oracle"
@@ -176,14 +189,6 @@ def test_pr_compare_ref_params(ref_params, ref_oracle):
     # forbidden points are flagged, not silently zero
     assert np.isnan(cmp.estimate[~cmp.classical]).all()
     assert (cmp.classical | np.isnan(cmp.rel_error)).all()
-
-
-def test_pr_compare_rejects_a_reference_of_other_parameters(ref_params):
-    other = ss.screen_by_eigensolve(ss.screen_ranges(60, 90, 110, 120))
-    assert other.params.side == ref_params.side
-    with pytest.raises(ValueError,
-                       match=r"\(60, 90, 110, 120\).*\(60, 90, 120, 110\)"):
-        ss.pr_compare(ref_params, reference=other)
 
 
 def test_pr_regge_invariance(ref_params):
@@ -207,7 +212,7 @@ def test_bohr_sommerfeld_action_regge_invariant(ref_params):
 def test_bohr_sommerfeld_tangent_row():
     # a one-lattice-point classical window: the loop nearly vanishes
     p = ss.screen_ranges(2, 4, 2, 4)
-    c3 = ss.cos_theta3_grid(p, "plain")[:, p.y_index(2)]
+    c3 = ss.cos_theta3_grid(p)[:, p.y_index(2)]
     assert np.sum(np.isfinite(c3) & (np.abs(c3) <= 1)) == 1
     bs = ss.bohr_sommerfeld(2, p)
     assert bs.action < 1.5
@@ -235,7 +240,7 @@ def test_bohr_sommerfeld_ladder_big_params(big_params):
 
 def _bohr_sommerfeld_by_column(two_y, params):
     """Reference: the action read from one column of the (n, n) grid."""
-    c3 = ss.cos_theta3_grid(params, "plain")[:, params.y_index(two_y)]
+    c3 = ss.cos_theta3_grid(params)[:, params.y_index(two_y)]
     xs = ss.edge_length(params.x_lattice())
     idx = np.flatnonzero(np.isfinite(c3) & (np.abs(c3) <= 1.0))
     if not idx.size:
