@@ -240,13 +240,6 @@ def sin_theta3(t: Tetrahedron):
     return 1.5 * math.sqrt(v2) * t.X / math.sqrt(_faces_sq_at_x(t))
 
 
-def cos_theta3_magnitude(t: Tetrahedron):
-    """|cos(theta3)| from the volume route: sqrt(1 - (3VX/(2 F F))^2)."""
-    v2 = volume_sq(t)
-    val = 1.0 - (9.0 * v2 * t.X ** 2) / (4.0 * _faces_sq_at_x(t))
-    return math.sqrt(max(val, 0.0))
-
-
 def cos_theta3_grid(params: ScreenParams):
     """Vectorized cos(theta3) over the whole lattice, shape (nx, ny).
 

@@ -325,12 +325,6 @@ def _cross_rows_decimal(params: ScreenParams):
     return [[row.tolist() for row in rows] for rows in _cross_rows(params, terms)]
 
 
-def _zero_pivot(params: ScreenParams, j):
-    """The ZeroPivot of the cross recursion's row j."""
-    return ZeroPivot("cross recursion pivot vanishes at two_y=%d"
-                     % (params.two_y_min + 2 * j))
-
-
 def _decimal_digits(params: ScreenParams):
     """Working precision of the cross propagation: 40 + ceil(G) digits.
 
@@ -362,7 +356,8 @@ def _decimal_digits(params: ScreenParams):
     cx, cy = _cross_coeffs(params)
     zero = np.flatnonzero(cy[2, 1:-1] == 0)
     if zero.size:
-        raise _zero_pivot(params, int(zero[0]) + 1)
+        raise ZeroPivot("cross recursion pivot vanishes at two_y=%d"
+                        % (params.two_y_min + 2 * (int(zero[0]) + 1)))
     nu = scipy.linalg.eigvalsh_tridiagonal(cx[1], cx[2, :-1])
     prev = np.stack((np.ones_like(nu), np.zeros_like(nu)))
     cur = prev[::-1].copy()
@@ -395,49 +390,46 @@ def screen_by_2d(params: ScreenParams):
     _decimal_digits, read from the screen's own mode growth.  The seed rows
     are the exact oracle values rounded to the working precision, and the
     coefficients are _cross_rows_decimal's.  A vanishing pivot (p_plus of
-    the row being solved for) raises ZeroPivot, a null row
-    ConvergenceFailure.
+    the row being solved for) raises ZeroPivot in _decimal_digits, a null
+    row ConvergenceFailure.  No row is renormalized: a norm error reaches
+    the orthonormality gate.
     """
     laps = Laps()
-    diagnostics = {"seed_method": "exact",
-                   "precision_digits": _decimal_digits(params)}
-    values, raw_norms = _propagate_2d(params, diagnostics["precision_digits"])
+    diagnostics = {"precision_digits": _decimal_digits(params)}
+    values = _propagate_2d(params, diagnostics["precision_digits"])
     laps.lap("propagate")
-    diagnostics["renorm_drift_max"] = float(np.max(np.abs(raw_norms - 1.0)))
     diagnostics["residual_cross_max"] = _cross_residual_max(params, values)
     laps.lap("cross_residual")
     return finish(Screen(params=params, values=values, method="recur2d",
                          diagnostics=diagnostics), laps)
 
 
-# digits of the row normalization: a double's rounding is off only for a
-# value within 1e-34 relative of one of its rounding boundaries
-_NORM_DIGITS = 34
+# digits each entry is rounded to before float(): a double's rounding is
+# off only for a value within 1e-34 relative of one of its rounding
+# boundaries, and float() of a shorter Decimal formats fewer digits
+_FLOAT_DIGITS = 34
 
 
 def _propagate_2d(params: ScreenParams, digits):
-    """Unit-norm float rows of the Decimal sweep, and the rows' raw norms.
+    """Float rows (n, n) of the Decimal sweep at digits of precision.
 
     Each row costs one reciprocal of its pivot and one comprehension over
     the neighbor slices, with the x diagonal minus the row's y diagonal
-    folded into one coefficient.  Only the last two rows are held in
-    Decimal: each row is rounded to _NORM_DIGITS and normalized there as
-    soon as it is made, so no Decimal grid is ever allocated.
+    folded into one coefficient.  p_minus(x_min) and p_plus(x_max) are
+    exact zeros, so the row is padded with a zero at each end.  Only the
+    last two rows are held in Decimal: each entry is rounded to
+    _FLOAT_DIGITS, then to double, as soon as its row is made, so no
+    Decimal grid is ever allocated.
     """
     n = params.side
     values = np.empty((n, n))
-    raw_norms = np.empty(n)
-    short = decimal.Context(prec=_NORM_DIGITS, Emax=decimal.MAX_EMAX,
-                            Emin=decimal.MIN_EMIN)
+    to_short = decimal.Context(prec=_FLOAT_DIGITS, Emax=decimal.MAX_EMAX,
+                               Emin=decimal.MIN_EMIN).plus
 
     def emit(j, row):
-        with decimal.localcontext(short):
-            entries = [+v for v in row]
-            norm = sum(v * v for v in entries).sqrt()
-            if norm == 0:
-                raise ConvergenceFailure("2D propagation produced a null row")
-            raw_norms[j] = float(norm)
-            values[:, j] = [float(v / norm) for v in entries]
+        if not any(row):
+            raise ConvergenceFailure("2D propagation produced a null row")
+        values[:, j] = [float(to_short(v)) for v in row]
 
     ctx = decimal.Context(prec=digits, Emax=decimal.MAX_EMAX,
                           Emin=decimal.MIN_EMIN)
@@ -449,25 +441,17 @@ def _propagate_2d(params: ScreenParams, digits):
         for j, row in enumerate(seeds):
             emit(j, row)
         (cxm, cx0, cxp), (cym, cy0, cyp) = _cross_rows_decimal(params)
-        inner_m, inner_p = cxm[1:-1], cxp[1:-1]
-        prev, u = seeds[0], seeds[-1]
+        zero = [Decimal(0)]
+        prev, u = zero + seeds[0] + zero, zero + seeds[-1] + zero
         for j in range(1, n - 1):
-            if cyp[j] == 0:
-                raise _zero_pivot(params, j)
             inv = 1 / cyp[j]
-            back = cym[j]
-            diag = [c - cy0[j] for c in cx0]
-            first = (diag[0] * u[0] + cxp[0] * u[1] - back * prev[0]) * inv
-            last = (diag[-1] * u[-1] + cxm[-1] * u[-2] - back * prev[-1]) * inv
-            nxt = ([first]
-                   + [(d * v + m * vm + p * vp - back * w) * inv
-                      for d, v, m, vm, p, vp, w in zip(
-                          diag[1:-1], u[1:-1], inner_m, u[:-2], inner_p,
-                          u[2:], prev[1:-1])]
-                   + [last])
+            back, shift = cym[j], cy0[j]
+            nxt = [((c - shift) * v + m * vm + p * vp - back * w) * inv
+                   for c, v, m, vm, p, vp, w in zip(
+                       cx0, u[1:-1], cxm, u[:-2], cxp, u[2:], prev[1:-1])]
             emit(j + 1, nxt)
-            prev, u = u, nxt
-    return values, raw_norms
+            prev, u = u, zero + nxt + zero
+    return values
 
 
 def _cross_residual_max(params: ScreenParams, values):

@@ -4,6 +4,7 @@ Every angular momentum is stored as ``two_j = 2*j`` so that half-integer spins
 are exact integers.  Screen lattices step by 2 in two-j units (by 1 in j).
 """
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,7 +31,7 @@ class ScreenParams:
 
     def __post_init__(self):
         for t in self.as_tuple():
-            if t < 0 or t != int(t):
+            if not isinstance(t, numbers.Integral) or t < 0:
                 raise ValueError("two-j values must be nonnegative integers")
         if (self.two_a + self.two_b + self.two_c + self.two_d) % 2:
             raise EmptyScreen("a+b+c+d must be integral (two-j sum even)")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import subprocess
@@ -175,6 +176,43 @@ def test_compute_deterministic(tmp_path):
     for f1 in sorted(out1.iterdir()):
         f2 = out2 / f1.name
         assert f1.read_bytes() == f2.read_bytes()
+
+
+# sha256 of the exact-seeded screen exports: oracle and recur2d screens are
+# kept byte-identical across changes
+EXACT_SEEDED_SCREENS = {
+    "spinscreen_a60_b90_c120_d110_oracle_screen.csv":
+        "7fb69285bb451b36e164c99d64aa6055ff6e0a665a417ca4b40fb683fde987a3",
+    "spinscreen_a60_b90_c120_d110_oracle_screen.json":
+        "bf15256b0f7d4a527857b89753276ea542ddde73183f2c1ae12c617ba61fbcf6",
+    "spinscreen_a60_b90_c120_d110_recur2d_screen.csv":
+        "bae4763f777678c0a6508ce5f796565db000911b663b7753c6e6148166163642",
+    "spinscreen_a60_b90_c120_d110_recur2d_screen.json":
+        "c10f5f646c4c081bf43f888566402cd6a7cf3911a2739e0a6ca06f61a4c5b4f5",
+    "spinscreen_a8_b10_c12_d10_oracle_screen.csv":
+        "2bc77389ca73e79f8e3c74ba1c82e7e3f1b088cf113ef53682fbb9992dc31ac7",
+    "spinscreen_a8_b10_c12_d10_oracle_screen.json":
+        "206c344a57ce0c7fab3c397665bb73bc1024eb8f1aa06c4707283219b499f1b6",
+    "spinscreen_a8_b10_c12_d10_recur2d_screen.csv":
+        "6ca0d6e470030ce3fac66d663d46c6c8d71112c244e9fc87658207ff3237e7c8",
+    "spinscreen_a8_b10_c12_d10_recur2d_screen.json":
+        "613620660f1c54b44dd2b9220cc9ca5e6159536e83221e473541172a154809e6",
+}
+
+
+def test_exact_seeded_screen_exports_are_pinned(tmp_path, capsys):
+    for quad in ((60, 90, 120, 110), (8, 10, 12, 10)):
+        params = [arg for k, t in zip("abcd", quad)
+                  for arg in ("--two-" + k, str(t))]
+        for method in ("oracle", "recur2d"):
+            for fmt in ("csv", "json"):
+                code = cli.main(["compute", *params, "--method", method,
+                                 "--output", "screen", "--format", fmt,
+                                 "--outdir", str(tmp_path)])
+                assert code == 0, capsys.readouterr().err
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.iterdir()}
+    assert digests == EXACT_SEEDED_SCREENS
 
 
 def test_env_outdir(tmp_path):

@@ -1,7 +1,9 @@
+import decimal
 import itertools
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ import spinscreen as ss
 from spinscreen import recursion, verify
 from spinscreen.recursion import (_stretched_sign, residual_threeterm,
                                   tridiag_coeffs)
+from spinscreen.screen import require_orthonormal
 from conftest import random_valid_quadruple
 
 
@@ -550,20 +553,42 @@ def test_cross_identity_on_oracle_values(ref_params, ref_oracle):
 def test_screen_2d_matches_oracle(ref_params, ref_oracle):
     screen = ss.screen_by_2d(ref_params)
     assert np.max(np.abs(screen.values - ref_oracle.values)) < 1e-8
-    assert screen.diagnostics["seed_method"] == "exact"
 
 
-def test_screen_2d_zero_pivot_raises(monkeypatch):
-    decimal_rows = recursion._cross_rows_decimal
+def test_screen_2d_gate_sees_a_mis_scaled_row(monkeypatch, ref_params):
+    # no row is renormalized: seeds off by 1e-8 reach the defect and the gate
+    u_exact = ss.exact.u_exact
+    scale = Fraction(10 ** 8 + 1, 10 ** 8)
+    monkeypatch.setattr(ss.exact, "u_exact",
+                        lambda two_x, two_y, params:
+                        u_exact(two_x, two_y, params) * scale)
+    screen = ss.screen_by_2d(ref_params)
+    assert screen.diagnostics["orthonormality_defect"] >= 1e-8
+    with pytest.raises(ss.ConvergenceFailure, match="orthonormality defect"):
+        require_orthonormal(screen)
 
-    def zero_pivot(params):
-        cx, cy = decimal_rows(params)
-        cy[2][1] = 0  # p_plus along y at row 1
-        return cx, cy
 
-    monkeypatch.setattr(recursion, "_cross_rows_decimal", zero_pivot)
-    with pytest.raises(ss.ZeroPivot):
-        ss.screen_by_2d(ss.screen_ranges(8, 10, 12, 10))
+def test_float_and_decimal_pivots_vanish_on_the_same_rows():
+    # the float pivot test of _decimal_digits is the only one: it must see
+    # every zero of the Decimal pivots the sweep divides by (on these
+    # screens neither has one: p_plus(y) vanishes only at y_max)
+    quads = list(itertools.product(range(9), repeat=4))
+    quads += [(20, 30, 40, 36), (40, 60, 80, 74), (60, 90, 120, 110),
+              (120, 180, 240, 220), (200, 300, 400, 366)]
+    checked = 0
+    for quad in quads:
+        try:
+            p = ss.screen_ranges(*quad)
+        except ss.EmptyScreen:
+            continue
+        if p.side < 3:
+            continue
+        _, cy = recursion._cross_coeffs(p)
+        with decimal.localcontext(decimal.Context(prec=40)):
+            cyp = recursion._cross_rows_decimal(p)[1][2]
+        assert [v == 0 for v in cyp[1:-1]] == list(cy[2, 1:-1] == 0), quad
+        checked += 1
+    assert checked == 1022
 
 
 def test_screen_2d_zero_float_pivot_raises(monkeypatch):
@@ -597,7 +622,7 @@ def test_screen_2d_equals_the_side_guarded_sweep(quad):
     p = ss.screen_ranges(*quad)
     screen = ss.screen_by_2d(p)
     assert screen.diagnostics["precision_digits"] < 40 + p.side
-    values, _ = recursion._propagate_2d(p, 40 + p.side)
+    values = recursion._propagate_2d(p, 40 + p.side)
     assert np.array_equal(screen.values, values)
 
 
@@ -611,7 +636,7 @@ def test_mode_growth_tracks_the_digits_lost(mid_params, mid_oracle):
     # with 5 digits over the growth G in place of the guard of 40, the
     # sweep loses all but a few: G is the real loss, not slack
     growth = recursion._decimal_digits(mid_params) - 40
-    values, _ = recursion._propagate_2d(mid_params, growth + 5)
+    values = recursion._propagate_2d(mid_params, growth + 5)
     assert np.max(np.abs(values - mid_oracle.values)) > 1e-8
 
 

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 import spinscreen as ss
@@ -41,6 +42,16 @@ def test_empty_screen_raises():
         ss.screen_ranges(1, 2, 2, 2)     # odd parity
     with pytest.raises(ValueError):
         ss.screen_ranges(-2, 2, 2, 2)
+
+
+@pytest.mark.parametrize("two_a", [2.0, 2.5])
+def test_non_integer_two_j_raises(two_a):
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        ss.ScreenParams(two_a, 2, 2, 2)
+
+
+def test_numpy_integer_two_j_is_valid():
+    assert ss.screen_ranges(np.int64(60), 90, 120, 110).side == 61
 
 
 def test_regge_conjugate():
