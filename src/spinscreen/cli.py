@@ -12,7 +12,7 @@ import time
 from . import (__version__, exact, exports, geometry, recursion, semiclassics,
                verify)
 from .errors import EmptyScreen, SpinScreenError
-from .screen import require_orthonormal
+from .screen import require_accepted
 from .spins import ScreenParams
 
 _OUTPUTS = ("screen", "caustics", "ridges", "potentials", "cos-theta3",
@@ -69,7 +69,7 @@ def cmd_compute(args):
     screen = None
     if needs_screen:
         screen = recursion.SCREEN_METHODS[args.method](params)
-        require_orthonormal(screen)
+        require_accepted(screen)
     outdir = args.outdir or os.environ.get("SPINSCREEN_OUTDIR", ".")
     os.makedirs(outdir, exist_ok=True)
     base = os.path.join(outdir, "spinscreen_a%d_b%d_c%d_d%d" % params.as_tuple())

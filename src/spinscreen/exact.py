@@ -6,6 +6,7 @@ exact.  The single sum runs in exact integers, one term from the next by
 their term ratio; nothing is rounded before an explicit conversion to float.
 """
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -49,12 +50,33 @@ def _signed_sqrt_ratio(num, den, negative):
     return sign * math.sqrt(f)
 
 
+# squarefree_split divides by the primes below this, read from one sieve
+# built on first use, then by the odd numbers past it
+_SIEVE_LIMIT = 1 << 16
+
+
+@lru_cache(maxsize=1)
+def _small_primes():
+    """The primes below _SIEVE_LIMIT, by a sieve of Eratosthenes."""
+    sieve = np.ones(_SIEVE_LIMIT, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(_SIEVE_LIMIT) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    return np.flatnonzero(sieve).tolist()
+
+
 def squarefree_split(n):
-    """n = s * k**2 with s square-free; returns (s, k).  n must be >= 1."""
-    s = 1
-    k = 1
-    d = 2
-    while d * d <= n:
+    """n = s * k**2 with s square-free; returns (s, k).  n must be >= 1.
+
+    Trial division by each d with d^2 <= n, n shrinking as its factors are
+    divided out: the primes below _SIEVE_LIMIT, then the odd numbers, of
+    which a composite one divides nothing left."""
+    s = k = 1
+    for d in itertools.chain(_small_primes(),
+                             itertools.count(_SIEVE_LIMIT + 1, 2)):
+        if d * d > n:
+            break
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -63,7 +85,6 @@ def squarefree_split(n):
             k *= d ** (e // 2)
             if e % 2:
                 s *= d
-        d += 1 if d == 2 else 2
     return s * n, k
 
 

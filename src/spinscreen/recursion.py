@@ -176,15 +176,14 @@ class _RowSetup(NamedTuple):
     """What a screen's eigensolve and threeterm rows share, all read-only:
     its TridiagCoeffs, the off-diagonal p_plus[:-1] with _shifted_lu's two
     padding zeros (a trailing block's is a slice of it), dgttrf's pivots
-    1..n+2 when no row is swapped, the padded start vector and the spectral
-    scale max(1, max|lambda|).  The shift is not kept: it is taken from
-    _SHIFT_NUDGE at each solve."""
+    1..n+2 when no row is swapped and the padded start vector.  The shift
+    is not kept: it is taken from _SHIFT_NUDGE and the coefficients' scale
+    at each solve."""
 
     coeffs: TridiagCoeffs
     off: np.ndarray
     pivots: np.ndarray
     start: np.ndarray
-    scale: float
 
 
 def _setup_of(coeffs: TridiagCoeffs):
@@ -192,8 +191,7 @@ def _setup_of(coeffs: TridiagCoeffs):
     n = len(coeffs.w)
     setup = _RowSetup(coeffs=coeffs,
                       off=np.concatenate((coeffs.p_plus[:-1], (0.0, 0.0))),
-                      pivots=np.arange(1, n + 3), start=_start_vector(n),
-                      scale=max(1.0, float(np.max(np.abs(coeffs.lam)))))
+                      pivots=np.arange(1, n + 3), start=_start_vector(n))
     for array in (coeffs.p_plus, coeffs.w, coeffs.lam, setup.off,
                   setup.pivots, setup.start):
         array.setflags(write=False)
@@ -208,10 +206,10 @@ def _row_setup(params: ScreenParams):
 
 def _inverse_iteration(setup, iy):
     """Row iy of U up to its sign, by inverse iteration from setup's start
-    vector, the shift nudged by its scale (see rows_by_threeterm)."""
+    vector, the shift nudged by coeffs.scale (see rows_by_threeterm)."""
     coeffs = setup.coeffs
     n = len(coeffs.w)
-    shift = coeffs.lam[iy] + _SHIFT_NUDGE * setup.scale
+    shift = coeffs.lam[iy] + _SHIFT_NUDGE * coeffs.scale
     factors = _shifted_lu(setup, 0, shift,
                           "two_y=%d" % (coeffs.params.two_y_min + 2 * iy))
     row = setup.start
@@ -246,7 +244,7 @@ def rows_by_threeterm(two_ys, params: ScreenParams):
     _SHIFT_NUDGE times the spectral scale: integer coefficients otherwise
     make the shifted matrix exactly singular.  Each row has unit sum of
     squares and the eigensolver's stretched-boundary sign.  The
-    coefficients, start vector and scale are built once per screen and
+    coefficients and start vector are built once per screen and
     shared by every row, block and screen of it.  Every two_y is checked
     before any solve: one off the y lattice raises OutOfRange.
     """
@@ -392,16 +390,14 @@ def screen_by_2d(params: ScreenParams):
     coefficients are _cross_rows_decimal's.  A vanishing pivot (p_plus of
     the row being solved for) raises ZeroPivot in _decimal_digits, a null
     row ConvergenceFailure.  No row is renormalized: a norm error reaches
-    the orthonormality gate.
+    the defect bound of screen.require_accepted.
     """
     laps = Laps()
-    diagnostics = {"precision_digits": _decimal_digits(params)}
-    values = _propagate_2d(params, diagnostics["precision_digits"])
+    digits = _decimal_digits(params)
+    values = _propagate_2d(params, digits)
     laps.lap("propagate")
-    diagnostics["residual_cross_max"] = _cross_residual_max(params, values)
-    laps.lap("cross_residual")
     return finish(Screen(params=params, values=values, method="recur2d",
-                         diagnostics=diagnostics), laps)
+                         diagnostics={"precision_digits": digits}), laps)
 
 
 # digits each entry is rounded to before float(): a double's rounding is
@@ -455,7 +451,7 @@ def _propagate_2d(params: ScreenParams, digits):
 
 
 def _cross_residual_max(params: ScreenParams, values):
-    """Largest five-term stencil residual over propagated rows (float)."""
+    """Largest five-term stencil residual of a screen's values (float)."""
     n = params.side
     if n < 3:
         return 0.0

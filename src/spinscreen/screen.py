@@ -1,7 +1,7 @@
 """The screen contract shared by every generation method: the dense Screen
 container, the three-term recursion it satisfies (coefficients and
-residual), and the diagnostics and acceptance bound every builder ends
-with."""
+residual), the diagnostics every builder ends with, and the one gate that
+accepts or rejects a screen by them."""
 
 import time
 from dataclasses import dataclass, field
@@ -13,6 +13,9 @@ from .spins import ScreenParams
 
 # the largest max |U^T U - I| of a screen that counts as orthonormal
 ORTHONORMALITY_BOUND = 1e-10
+# the largest scaled three-term residual, along x or y, of an accepted screen:
+# 400x the worst correct screen measured, 1.6e5x below one flipped column
+RESIDUAL_BOUND = 1e-9
 # columns per panel of the three-term residual and the eigenvectors'
 # argmax: two side-2001 panels of doubles (1 MB) stay in cache
 _PANEL = 32
@@ -62,13 +65,17 @@ class TridiagCoeffs:
 
     p_plus[k] couples lattice point k to k+1 and vanishes at the last point;
     p_minus(x) = p_plus(x-1).  lam is indexed by the y lattice and is strictly
-    increasing.
+    increasing; scale = max(1, max|lambda|) is the scale of the terms.
     """
 
     params: ScreenParams
     p_plus: np.ndarray
     w: np.ndarray
     lam: np.ndarray
+    scale: float = field(init=False)
+
+    def __post_init__(self):
+        self.scale = max(1.0, float(np.max(np.abs(self.lam))))
 
 
 def _recursion_terms(params: ScreenParams, half):
@@ -98,11 +105,12 @@ def tridiag_coeffs(params: ScreenParams):
 
 
 def residual_threeterm(screen: Screen):
-    """max over interior points of |p+ U(x+1) + (w - lambda) U(x) + p- U(x-1)|.
+    """The scaled residual: max over interior points of
+    |p+ U(x+1) + (w - lambda) U(x) + p- U(x-1)| / TridiagCoeffs.scale.
 
     The sum runs in panels of _PANEL columns through two buffers laid out
     as U, in the order (p+ U(x+1) + (w - lambda) U(x)) + p- U(x-1): the
-    maximum is that of the whole (n-2, n) array, bit for bit.
+    maximum is that of the whole (n-2, n) array, bit for bit, or NaN.
     """
     U = screen.values
     n = U.shape[0]
@@ -113,7 +121,7 @@ def residual_threeterm(screen: Screen):
                          coeffs.p_plus[:-2, None])
     acc = np.empty_like(U[1:-1, :_PANEL], dtype=float)
     term = np.empty_like(acc)
-    largest = 0.0
+    peaks = []
     for j in range(0, U.shape[1], _PANEL):
         cols = U[:, j:j + _PANEL]
         a, t = acc[:, :cols.shape[1]], term[:, :cols.shape[1]]
@@ -123,27 +131,33 @@ def residual_threeterm(screen: Screen):
         np.add(t, a, out=a)
         np.multiply(p_prev, cols[:-2], out=t)
         np.add(a, t, out=a)
-        largest = max(largest, float(np.max(np.abs(a, out=a))))
-    return largest
+        peaks.append(np.max(np.abs(a, out=a)))
+    return float(np.max(peaks)) / coeffs.scale
 
 
 def finish(screen: Screen, laps: Laps):
     """Record what every builder's screen is judged by, each timed as a
-    stage after the builder's own: the three-term residual residual_max,
-    the orthonormality defect, and the stage timings."""
+    stage after the builder's own: the three-term residuals along x
+    (residual_max) and y (residual_y_max: {a b x; c d y} = {a d y; c b x},
+    so U.T is a screen of (a, d, c, b)), the orthonormality defect, timings."""
     screen.diagnostics["residual_max"] = residual_threeterm(screen)
     laps.lap("residual")
+    a, b, c, d = screen.params.as_tuple()
+    swapped = Screen(ScreenParams(a, d, c, b), screen.values.T, screen.method)
+    screen.diagnostics["residual_y_max"] = residual_threeterm(swapped)
+    laps.lap("residual_y")
     screen.diagnostics["orthonormality_defect"] = screen.orthonormality_defect()
     laps.lap("defect")
     screen.diagnostics["timings"] = laps.timings
     return screen
 
 
-def require_orthonormal(screen: Screen):
-    """Raise ConvergenceFailure when the screen's recorded orthonormality
-    defect is over ORTHONORMALITY_BOUND (or is NaN)."""
-    defect = screen.diagnostics["orthonormality_defect"]
-    if not defect <= ORTHONORMALITY_BOUND:
-        raise ConvergenceFailure(
-            "%s screen has orthonormality defect %.3e > %.0e"
-            % (screen.method, defect, ORTHONORMALITY_BOUND))
+def require_accepted(screen: Screen):
+    """Raise ConvergenceFailure, naming the diagnostic, when the defect is
+    over ORTHONORMALITY_BOUND or a residual over RESIDUAL_BOUND, or NaN."""
+    for key, bound in (("orthonormality_defect", ORTHONORMALITY_BOUND),
+                       ("residual_max", RESIDUAL_BOUND),
+                       ("residual_y_max", RESIDUAL_BOUND)):
+        if not screen.diagnostics[key] <= bound:
+            raise ConvergenceFailure("%s screen has %s %.3e > %.0e" % (
+                screen.method, key, screen.diagnostics[key], bound))

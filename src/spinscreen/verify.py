@@ -3,6 +3,7 @@
 import functools
 import json
 import random
+import time
 from dataclasses import asdict, dataclass
 from importlib import resources
 
@@ -21,11 +22,17 @@ DEFAULT_PARAMS = ScreenParams(60, 90, 120, 110)
 
 @dataclass
 class CheckResult:
+    """One checked value against its threshold.  run_checks sets seconds,
+    the wall time of the named check that gave it, shared by all of that
+    check's results (a screen shared with an earlier check is timed in
+    that one); it stays None in ninej-check's results."""
+
     name: str
     value: float
     threshold: float
     passed: bool
     detail: str = ""
+    seconds: float | None = None
 
 
 def _result(name, value, threshold, detail=""):
@@ -248,12 +255,13 @@ def run_checks(names=None, params=DEFAULT_PARAMS, n_random=200, seed=1234,
     results = []
     for name in selected:
         rng = random.Random(seed)
-        fn = CHECKS[name]
-        if name == "golden":
-            results.extend(fn(params, rng, n_random, screen,
-                              golden_path=golden_path))
-        else:
-            results.extend(fn(params, rng, n_random, screen))
+        extra = {"golden_path": golden_path} if name == "golden" else {}
+        start = time.perf_counter()
+        found = CHECKS[name](params, rng, n_random, screen, **extra)
+        seconds = time.perf_counter() - start
+        for result in found:
+            result.seconds = seconds
+        results.extend(found)
     return results
 
 

@@ -144,7 +144,7 @@ def test_compute_rejects_a_screen_over_the_defect_bound(monkeypatch, tmp_path,
     code = cli.main(["compute", *SMALL, "--output", "screen,caustics,pr-compare",
                      "--outdir", str(tmp_path / "out")])
     assert code == 3
-    assert "orthonormality defect" in capsys.readouterr().err
+    assert "orthonormality_defect" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -162,7 +162,7 @@ def test_compute_gates_the_defect_of_every_builder(monkeypatch, tmp_path,
     code = cli.main(["compute", *SMALL, "--method", method, "--output",
                      "screen", "--outdir", str(tmp_path / "out")])
     assert code == 3
-    assert "orthonormality defect" in capsys.readouterr().err
+    assert "orthonormality_defect" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -263,6 +263,23 @@ def test_verify_report_is_the_exports_json_text(tmp_path):
     text = report.read_text()
     assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n"
     assert text.startswith('{\n "checks": [\n  {\n   "detail": ')
+
+
+def test_verify_report_carries_each_checks_seconds(tmp_path, capsys):
+    # stdout keeps one PASS/FAIL line per result; the report adds the wall
+    # time of the check that gave each result, shared by all of them
+    report = tmp_path / "report.json"
+    code = cli.main(["verify", *SMALL, "--check", "geometry", "--check",
+                     "golden", "--random", "20", "--report", str(report)])
+    assert code == 0
+    checks = json.loads(report.read_text())["checks"]
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if "  PASS  " in line or "  FAIL  " in line]
+    assert len(lines) == len(checks) == 5
+    seconds = {c["name"]: c["seconds"] for c in checks}
+    assert all(isinstance(t, float) and t >= 0.0 for t in seconds.values())
+    geometry = {t for name, t in seconds.items() if name.startswith("geometry")}
+    assert len(geometry) == 1 and seconds["golden"] not in geometry
 
 
 def test_verify_unit_sixj_dispatches_every_family(monkeypatch):

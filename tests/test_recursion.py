@@ -1,4 +1,5 @@
 import decimal
+import functools
 import itertools
 import math
 import random
@@ -13,7 +14,8 @@ import spinscreen as ss
 from spinscreen import recursion, verify
 from spinscreen.recursion import (_stretched_sign, residual_threeterm,
                                   tridiag_coeffs)
-from spinscreen.screen import require_orthonormal
+from spinscreen.screen import (ORTHONORMALITY_BOUND, RESIDUAL_BOUND, Laps,
+                               finish, require_accepted)
 from conftest import random_valid_quadruple
 
 
@@ -100,8 +102,8 @@ def test_eigensolve_signs_match_oracle(ref_eig, ref_oracle):
 
 
 def test_eigensolve_residual(ref_params, ref_eig):
-    scale = np.max(np.abs(ref_eig.values))
-    assert ref_eig.diagnostics["residual_max"] < 1e-9 * scale * ref_params.side
+    assert ref_eig.diagnostics["residual_max"] <= RESIDUAL_BOUND
+    assert ref_eig.diagnostics["residual_y_max"] <= RESIDUAL_BOUND
 
 
 def test_stretched_sign_matches_oracle():
@@ -290,15 +292,30 @@ def test_eigensolve_sweep_through_a_zero_ratio_is_silent(monkeypatch, quad):
 
 
 def test_stage_timings(ref_params):
-    stages = {"eigensolve": ["coeffs", "eigh", "anchor", "residual", "defect"],
-              "threeterm": ["coeffs", "solve", "anchor", "residual", "defect"],
-              "recur2d": ["propagate", "cross_residual", "residual", "defect"],
-              "oracle": ["values", "residual", "defect"]}
+    judged = ["residual", "residual_y", "defect"]
+    stages = {"eigensolve": ["coeffs", "eigh", "anchor"] + judged,
+              "threeterm": ["coeffs", "solve", "anchor"] + judged,
+              "recur2d": ["propagate"] + judged,
+              "oracle": ["values"] + judged}
     for p in (ref_params, ss.screen_ranges(0, 8, 8, 8)):
         for method, names in stages.items():
             timings = ss.SCREEN_METHODS[method](p).diagnostics["timings"]
             assert list(timings) == names
             assert all(t >= 0.0 for t in timings.values())
+
+
+@pytest.mark.parametrize("quad", [(60, 90, 120, 110), (0, 8, 8, 8),
+                                  (2, 2, 2, 2)])
+def test_every_method_records_the_same_core_diagnostics(quad):
+    core = {"residual_max", "residual_y_max", "orthonormality_defect",
+            "timings"}
+    own = {"eigensolve": {"spectrum_rel_error"}, "threeterm": set(),
+           "recur2d": {"precision_digits"}, "oracle": set()}
+    assert set(own) == set(ss.SCREEN_METHODS)
+    for method, build in ss.SCREEN_METHODS.items():
+        screen = build(ss.screen_ranges(*quad))
+        assert set(screen.diagnostics) == core | own[method], method
+        require_accepted(screen)
 
 
 def test_threeterm_row_normalized(ref_params):
@@ -497,8 +514,7 @@ def test_threeterm_all_rows_vs_eigensolve(quad):
     rows = ss.screen_by_threeterm(p)
     eig = ss.screen_by_eigensolve(p)
     assert np.max(np.abs(rows.values - eig.values)) <= 1e-11
-    assert rows.diagnostics["orthonormality_defect"] < 1e-10
-    assert rows.diagnostics["residual_max"] < 1e-9 * p.side
+    require_accepted(rows)
 
 
 def test_threeterm_all_rows_vs_oracle():
@@ -523,6 +539,7 @@ def test_every_method_matches_oracle_on_every_row():
         for name, screen in screens.items():
             err = np.max(np.abs(screen.values - ref))
             assert err <= 1e-11, (name, quad, err)
+            require_accepted(screen)
         checked += 1
     assert checked == 2761
 
@@ -564,8 +581,8 @@ def test_screen_2d_gate_sees_a_mis_scaled_row(monkeypatch, ref_params):
                         u_exact(two_x, two_y, params) * scale)
     screen = ss.screen_by_2d(ref_params)
     assert screen.diagnostics["orthonormality_defect"] >= 1e-8
-    with pytest.raises(ss.ConvergenceFailure, match="orthonormality defect"):
-        require_orthonormal(screen)
+    with pytest.raises(ss.ConvergenceFailure, match="orthonormality_defect"):
+        require_accepted(screen)
 
 
 def test_float_and_decimal_pivots_vanish_on_the_same_rows():
@@ -820,12 +837,13 @@ def test_verify_builds_each_screen_once(monkeypatch, ref_params):
 
 
 def _dense_residual(values, coeffs):
-    """The three-term residual from whole (n-2, n) temporaries: the formula
-    the panels replace, kept as the reference they must equal bit for bit."""
+    """The scaled three-term residual from whole (n-2, n) temporaries: the
+    formula the panels replace, kept as the reference they must equal bit
+    for bit."""
     res = (coeffs.p_plus[1:-1, None] * values[2:, :]
            + (coeffs.w[1:-1, None] - coeffs.lam[None, :]) * values[1:-1, :]
            + coeffs.p_plus[:-2, None] * values[:-2, :])
-    return float(np.max(np.abs(res)))
+    return float(np.max(np.abs(res))) / coeffs.scale
 
 
 # sides 1, 2, 3, 65 (one past two panels) and 601, in the eigensolver's
@@ -853,3 +871,76 @@ def test_residual_threeterm_on_oracle(ref_params, ref_oracle):
 def test_every_builder_records_the_threeterm_residual(ref_params, method):
     screen = ss.SCREEN_METHODS[method](ref_params)
     assert screen.diagnostics["residual_max"] == residual_threeterm(screen)
+
+
+@pytest.fixture(scope="module")
+def gate_screens():
+    """The eigensolve and threeterm screens the gate tests read, each built
+    once per module: screen(method, quad)."""
+    return functools.cache(
+        lambda method, quad: ss.SCREEN_METHODS[method](ss.screen_ranges(*quad)))
+
+
+def _refinished(screen, values):
+    return finish(ss.Screen(params=screen.params, values=values,
+                            method=screen.method), Laps())
+
+
+@pytest.mark.parametrize("quad", [(1000, 1000, 1000, 1000),
+                                  (2000, 2000, 2000, 2000)])
+@pytest.mark.parametrize("method", ["eigensolve", "threeterm"])
+def test_gate_accepts_large_kappa_screens(gate_screens, method, quad):
+    # the screens a bound of 1e-12 would reject: eigensolve's y residual
+    # reads 1.5e-12 and 2.5e-12 here
+    require_accepted(gate_screens(method, quad))
+
+
+# a column of U (the row U(., y) of one y) with its sign flipped satisfies
+# the x recursion and keeps U orthonormal: only the y residual sees it
+@pytest.mark.parametrize("quad", [(60, 90, 120, 110), (600, 900, 1200, 1100),
+                                  (2000, 2000, 2000, 2000)])
+@pytest.mark.parametrize("method", ["eigensolve", "threeterm"])
+def test_gate_sees_one_flipped_column_by_the_y_residual(gate_screens, method,
+                                                        quad):
+    screen = gate_screens(method, quad)
+    require_accepted(screen)
+    n = screen.params.side
+    for iy in (0, n // 3, n // 2, n - 1):
+        values = screen.values.copy()
+        values[:, iy] *= -1.0
+        flipped = _refinished(screen, values)
+        found = flipped.diagnostics
+        assert found["residual_max"] == screen.diagnostics["residual_max"]
+        assert found["orthonormality_defect"] <= ORTHONORMALITY_BOUND
+        assert found["residual_y_max"] > 1e4 * RESIDUAL_BOUND, iy
+        with pytest.raises(ss.ConvergenceFailure, match="residual_y_max"):
+            require_accepted(flipped)
+
+
+@pytest.mark.parametrize("method", ["eigensolve", "threeterm"])
+def test_gate_sees_one_column_scaled_by_1e_8(gate_screens, method):
+    screen = gate_screens(method, (60, 90, 120, 110))
+    values = screen.values.copy()
+    values[:, 20] *= 1 + 1e-8
+    with pytest.raises(ss.ConvergenceFailure, match="orthonormality_defect"):
+        require_accepted(_refinished(screen, values))
+
+
+@pytest.mark.parametrize("key", ["orthonormality_defect", "residual_max",
+                                 "residual_y_max"])
+@pytest.mark.parametrize("value", [np.nan, 2e-9])
+def test_gate_names_the_diagnostic_over_its_bound_or_nan(ref_eig, key, value):
+    screen = ss.Screen(params=ref_eig.params, values=ref_eig.values,
+                       method="eigensolve",
+                       diagnostics={"orthonormality_defect": 0.0,
+                                    "residual_max": 0.0, "residual_y_max": 0.0,
+                                    key: value})
+    with pytest.raises(ss.ConvergenceFailure, match="has %s" % key):
+        require_accepted(screen)
+
+
+def test_a_nan_entry_makes_both_residuals_nan(ref_eig):
+    values = ref_eig.values.copy()
+    values[30, 40] = np.nan
+    found = _refinished(ref_eig, values).diagnostics
+    assert np.isnan(found["residual_max"]) and np.isnan(found["residual_y_max"])
