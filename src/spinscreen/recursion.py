@@ -1,6 +1,7 @@
-"""Fast screen generation: tridiagonal eigenproblem, three-term rows by
-inverse iteration at the closed-form lambda(y), and the two-dimensional
-five-term cross recursion; SCREEN_METHODS names every screen builder."""
+"""Fast screen generation: tridiagonal eigenproblem, three-term screens by
+one twisted factorization and rows by inverse iteration at the closed-form
+lambda(y), and the two-dimensional five-term cross recursion;
+SCREEN_METHODS names every screen builder."""
 
 import decimal
 import functools
@@ -20,7 +21,7 @@ from .screen import (_PANEL, Laps, Screen, TridiagCoeffs, _recursion_terms,
 from .spins import ScreenParams
 
 # inverse iteration: solves per row, start-vector seed, relative shift
-_SOLVES = 3
+_SOLVES = 2
 _START_SEED = 0
 _SHIFT_NUDGE = 1e-13
 # screens whose row set-up is kept, least recently used dropped first; at
@@ -28,6 +29,11 @@ _SHIFT_NUDGE = 1e-13
 _SETUP_CACHE = 8
 # the width, as a share of its side, from which _anchor sweeps a block
 _SWEEP_SHARE = 1 / 4
+# digits of the Decimal coefficients of a twisted screen (_twist_terms):
+# its tails are products of up to n pivot ratios, and a coefficient off by
+# an ulp biases each ratio the same way
+_TWIST_DIGITS = 40
+_SMALLEST_NORMAL = np.finfo(float).tiny
 
 
 def _stretched_sign(params: ScreenParams):
@@ -45,11 +51,14 @@ def _shifted_lu(setup, start, shift, what):
     match.  A zero pivot raises ConvergenceFailure, whose message begins
     with what.
     """
-    diag = np.concatenate((setup.coeffs.w[start:] - shift, (1.0, 1.0)))
+    order = len(setup.coeffs.w) - start
+    diag = np.empty(order + 2)
+    np.subtract(setup.coeffs.w[start:], shift, diag[:order])
+    diag[order:] = 1.0
     off = setup.off[start:]
     *factors, info = scipy.linalg.lapack.dgttrf(off, diag, off)
     if info > 0:
-        raise _singular(what, start, shift, len(diag) - 2)
+        raise _singular(what, start, shift, order)
     return factors
 
 
@@ -120,7 +129,7 @@ def _anchor(setup, lam, block):
     if k < _SWEEP_SHARE * n:
         for j in range(k):
             col = block[:, j]
-            istar = int(np.argmax(np.abs(col)))
+            istar = int(np.abs(col).argmax())
             m = parity = n - 1 - istar
             if m > 0:
                 _, u_diag, _, _, ipiv = _shifted_lu(setup, istar + 1, lam[j],
@@ -215,23 +224,118 @@ def _inverse_iteration(setup, iy):
     row = setup.start
     for _ in range(_SOLVES):
         row = scipy.linalg.lapack.dgttrs(*factors, row)[0]
-        row /= np.linalg.norm(row[:n])
-    return row[:n]
+        head = row[:n]
+        # the 2-norm as np.linalg.norm takes it, without its dispatch
+        row /= math.sqrt(head @ head)
+    return head
 
 
-def _solve_rows(params: ScreenParams, iys, laps: Laps):
-    """The (n, k) block of rows iys of U, each anchored to the
-    stretched-boundary sign, with the set-up, the solves and the anchor
-    timed as the stages coeffs, solve and anchor."""
-    setup = _row_setup(params)
+@functools.lru_cache(maxsize=_SETUP_CACHE)
+def _twist_terms(params: ScreenParams):
+    """What the screen's twisted factorization reads, built once per
+    screen, as tuples of doubles: T's off-diagonal p_plus correctly
+    rounded, and its square; T's diagonal w as tridiag_coeffs rounds it,
+    and w_lo, what each w lacks of its exact value; and pivmin = tiny *
+    max(1, max p_plus^2), the magnitude that replaces an exact zero pivot,
+    as in LAPACK dlarre.  p_plus and w_lo come from _decimal_terms at
+    _TWIST_DIGITS.  tridiag_coeffs' p_plus is up to 1.8 ulp off: with it
+    the forbidden points of side 201 come within 1.1e-14 relative of the
+    oracle, against 6.6e-15.  w_lo makes w - lambda exact where the two
+    cancel: without it the two_j <= 8 screens come within 1.0e-15 of the
+    oracle, against 5.6e-16."""
+    w = tuple(_row_setup(params).coeffs.w.tolist())
+    with decimal.localcontext(decimal.Context(prec=_TWIST_DIGITS)):
+        p_dec, w_dec, _ = _decimal_terms(params)
+        p = tuple(float(v) for v in p_dec)
+        w_lo = tuple(float(v - Decimal(h)) for v, h in zip(w_dec, w))
+    p_sq = tuple(v * v for v in p)
+    return p, p_sq, w, w_lo, _SMALLEST_NORMAL * max(1.0, max(p_sq))
+
+
+def _twisted_screen(params: ScreenParams, laps: Laps):
+    """The (n, n) values of U, every row at its eigenvalue lambda(y) of T,
+    anchored, from one twisted factorization of T - lambda(y) per row, all
+    rows at once (Dhillon & Parlett, Linear Algebra Appl. 387, 1 (2004);
+    LAPACK dlar1v).  Stages coeffs (_twist_terms), factor (the two pivot
+    sweeps) and vectors.
+
+    The UDU^T pivots D- sweep up from x_max, D-_k = (w_k - lam) - p_k^2 /
+    D-_(k+1) with D-_n = inf (p_(n-1) is 0), and the LDL^T pivots D+ down
+    from x_min, D+_k = (w_k - lam) - p_(k-1)^2 / D+_(k-1); w_lo is added to
+    each w_k - lam, and an exact zero pivot is replaced by -pivmin in both,
+    so the next pivot is large and positive, the pair holds one negative,
+    and every pivot and every ratio of two stays finite.  A column's twist
+    r is where |gamma_k| is least, gamma_k = D+_k + D-_k - (w_k - lam) =
+    D-_k - p_(k-1)^2 / D+_(k-1).  With z_r = 1, the entries above it are
+    z_k = -(p_k / D+_k) z_(k+1) and those below it z_k = -(p_(k-1) / D-_k)
+    z_(k-1): products of pivot ratios, so a small entry keeps its relative
+    accuracy down to the smallest normal double, below which it is set to
+    0 (a denormal operand slows BLAS down: the defect's Gram product by
+    1.7x at side 2001).  U's sign at r is the stretched sign times
+    (-1)^(n-1-r) times the sign of det(T[r+1:, r+1:] - lam) = D-_(r+1) ...
+    D-_(n-1), as in _anchor, counted during the upward sweep.  D- is swept
+    into the values themselves, and each of its entries is read once more,
+    to make the entry below the twist; so the ratios -p_k / D+_k are the
+    only other array of the screen's size.
+    """
+    lam = _row_setup(params).coeffs.lam
+    p, p_sq, w, w_lo, pivmin = _twist_terms(params)
     laps.lap("coeffs")
-    block = np.empty((params.side, len(iys)))
-    for k, iy in enumerate(iys):
-        block[:, k] = _inverse_iteration(setup, iy)
-    laps.lap("solve")
-    _anchor(setup, setup.coeffs.lam[iys], block)
-    laps.lap("anchor")
-    return block
+    n = len(w)
+    values = np.empty((n, n))
+    # odd[i]: whether D-_i ... D-_(n-1) hold an odd number of negatives
+    odd = np.zeros((n + 1, n), dtype=bool)
+    d, q = np.full(n, np.inf), np.empty(n)
+    # positional outs: the loops run n times on vectors of n
+    for i in range(n - 1, -1, -1):
+        np.divide(p_sq[i], d, q)
+        d = values[i]
+        np.subtract(w[i], lam, d)
+        np.add(d, w_lo[i], d)
+        np.subtract(d, q, d)
+        if not d.all():
+            d[d == 0] = -pivmin
+        np.less(d, 0.0, odd[i])
+        np.logical_xor(odd[i], odd[i + 1], odd[i])
+    low = np.empty((n, n))
+    d, q, gamma, least = np.empty(n), np.zeros(n), np.empty(n), np.full(n, np.inf)
+    twist = np.zeros(n, dtype=np.intp)
+    side = np.empty(n, dtype=bool)
+    for i in range(n):
+        np.subtract(values[i], q, gamma)
+        np.abs(gamma, gamma)
+        np.less(gamma, least, side)
+        np.copyto(least, gamma, where=side)
+        np.copyto(twist, i, where=side)
+        np.subtract(w[i], lam, d)
+        np.add(d, w_lo[i], d)
+        np.subtract(d, q, d)
+        if not d.all():
+            d[d == 0] = -pivmin
+        np.divide(-p[i], d, low[i])
+        np.multiply(-p[i], low[i], q)
+    laps.lap("factor")
+    columns = np.arange(n)
+    sign = (_stretched_sign(params)
+            * (1 - 2 * ((n - 1 - twist + odd[twist + 1, columns]) % 2)))
+    values[twist, columns] = 1.0
+    # each product is taken only where its row is on that side of the twist
+    ratio = np.empty(n)
+    for i in range(1, n):
+        np.less(twist, i, side)
+        np.divide(-p[i - 1], values[i], ratio)
+        np.multiply(ratio, values[i - 1], values[i], where=side)
+    for i in range(n - 2, -1, -1):
+        np.greater(twist, i, side)
+        np.multiply(low[i], values[i + 1], values[i], where=side)
+    values *= sign / np.sqrt(np.einsum("ij,ij->j", values, values))
+    magnitude = np.empty((_PANEL, n))
+    for i in range(0, n, _PANEL):
+        rows = values[i:i + _PANEL]
+        np.copyto(rows, 0.0, where=np.abs(rows, magnitude[:len(rows)])
+                  < _SMALLEST_NORMAL)
+    laps.lap("vectors")
+    return values
 
 
 def rows_by_threeterm(two_ys, params: ScreenParams):
@@ -243,13 +347,19 @@ def rows_by_threeterm(two_ys, params: ScreenParams):
     vector (dgttrs, O(n) each).  The shift is nudged off lambda(y) by
     _SHIFT_NUDGE times the spectral scale: integer coefficients otherwise
     make the shifted matrix exactly singular.  Each row has unit sum of
-    squares and the eigensolver's stretched-boundary sign.  The
-    coefficients and start vector are built once per screen and
-    shared by every row, block and screen of it.  Every two_y is checked
-    before any solve: one off the y lattice raises OutOfRange.
+    squares and the eigensolver's stretched-boundary sign, and is the same
+    whatever other rows the block holds.  The coefficients and start
+    vector are built once per screen and shared by every row and block of
+    it.  Every two_y is checked before any solve: one off the y lattice
+    raises OutOfRange.
     """
-    return _solve_rows(params, [params.row_index(two_y) for two_y in two_ys],
-                       Laps())
+    iys = [params.row_index(two_y) for two_y in two_ys]
+    setup = _row_setup(params)
+    block = np.empty((params.side, len(iys)))
+    for k, iy in enumerate(iys):
+        block[:, k] = _inverse_iteration(setup, iy)
+    _anchor(setup, setup.coeffs.lam[iys], block)
+    return block
 
 
 def row_by_threeterm(two_y, params: ScreenParams):
@@ -258,12 +368,14 @@ def row_by_threeterm(two_y, params: ScreenParams):
 
 
 def screen_by_threeterm(params: ScreenParams):
-    """Screen of the rows of rows_by_threeterm, one per y, with the solves
-    and the sign anchor timed as separate stages."""
+    """Screen of every row of U from one _twisted_screen, with the set-up
+    and its decimal coefficients, the two pivot sweeps and the vectors
+    timed as the stages coeffs, factor and vectors.  It agrees with
+    rows_by_threeterm's rows to rounding, and keeps the relative accuracy
+    of the small entries where the rows do not."""
     laps = Laps()
-    values = _solve_rows(params, range(params.side), laps)
-    screen = Screen(params=params, values=values, method="threeterm",
-                    diagnostics={})
+    screen = Screen(params=params, values=_twisted_screen(params, laps),
+                    method="threeterm", diagnostics={})
     return finish(screen, laps)
 
 
@@ -309,18 +421,22 @@ def _cross_coeffs(params: ScreenParams):
     return kappa * np.array(cx), kappa * np.array(cy)
 
 
+def _decimal_terms(params: ScreenParams):
+    """p_plus, w and lambda as object arrays of Decimals at the context's
+    precision.  Spins, their sums and products are exact; w, p_plus squared
+    and its root are each rounded once."""
+    f, x, w, lam = _recursion_terms(
+        params, lambda two_j: np.asarray(two_j, dtype=object) * Decimal("0.5"))
+    p_plus_sq = f / ((x + 1) ** 2 * (2 * x + 1) * (2 * x + 3))
+    return np.array([v.sqrt() for v in p_plus_sq]), w, lam
+
+
 def _cross_rows_decimal(params: ScreenParams):
     """The rows of _cross_rows as lists of Decimals at the context's
-    precision.  Spins, their sums and products are exact; w, the diagonal's
-    sum, p_plus squared and its root are each rounded once.  p_minus is
-    p_plus shifted by one point, so each root is taken once."""
-    def terms(p):
-        f, x, w, lam = _recursion_terms(
-            p, lambda two_j: np.asarray(two_j, dtype=object) * Decimal("0.5"))
-        p_plus_sq = f / ((x + 1) ** 2 * (2 * x + 1) * (2 * x + 3))
-        return np.array([v.sqrt() for v in p_plus_sq]), w, lam
-
-    return [[row.tolist() for row in rows] for rows in _cross_rows(params, terms)]
+    precision, from _decimal_terms; the diagonal's sum is rounded once.
+    p_minus is p_plus shifted by one point, so each root is taken once."""
+    return [[row.tolist() for row in rows]
+            for rows in _cross_rows(params, _decimal_terms)]
 
 
 def _decimal_digits(params: ScreenParams):

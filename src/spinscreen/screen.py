@@ -17,7 +17,8 @@ ORTHONORMALITY_BOUND = 1e-10
 # 400x the worst correct screen measured, 1.6e5x below one flipped column
 RESIDUAL_BOUND = 1e-9
 # columns per panel of the three-term residual and the eigenvectors'
-# argmax: two side-2001 panels of doubles (1 MB) stay in cache
+# argmax, rows per panel of a twisted screen's underflow flush: two
+# side-2001 panels of doubles (1 MB) stay in cache
 _PANEL = 32
 
 

@@ -5,8 +5,7 @@ are exact integers.  Screen lattices step by 2 in two-j units (by 1 in j).
 """
 
 import numbers
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,41 +21,36 @@ def triad_ok(two_a, two_b, two_c):
 
 @dataclass(frozen=True)
 class ScreenParams:
-    """The four fixed parameters (a,b,c,d) of a screen, two-j units."""
+    """The four fixed parameters (a,b,c,d) of a screen, two-j units, and
+    the x and y ranges they give, computed once at construction."""
 
     two_a: int
     two_b: int
     two_c: int
     two_d: int
+    two_x_min: int = field(init=False, repr=False, compare=False)
+    two_x_max: int = field(init=False, repr=False, compare=False)
+    two_y_min: int = field(init=False, repr=False, compare=False)
+    two_y_max: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for t in self.as_tuple():
-            if not isinstance(t, numbers.Integral) or t < 0:
+        ta, tb, tc, td = quad = self.as_tuple()
+        for t in quad:
+            # a plain int skips the numbers.Integral ABC check (~1 us)
+            if not (type(t) is int or isinstance(t, numbers.Integral)) or t < 0:
                 raise ValueError("two-j values must be nonnegative integers")
-        if (self.two_a + self.two_b + self.two_c + self.two_d) % 2:
+        if (ta + tb + tc + td) % 2:
             raise EmptyScreen("a+b+c+d must be integral (two-j sum even)")
-        if self.two_x_min > self.two_x_max or self.two_y_min > self.two_y_max:
-            raise EmptyScreen(
-                "empty ranges for parameters %s" % (self.as_tuple(),))
+        x_min, x_max = max(abs(ta - tb), abs(tc - td)), min(ta + tb, tc + td)
+        y_min, y_max = max(abs(ta - td), abs(tb - tc)), min(ta + td, tb + tc)
+        if x_min > x_max or y_min > y_max:
+            raise EmptyScreen("empty ranges for parameters %s" % (quad,))
+        # the instance is frozen: its dict takes the four in one call
+        self.__dict__.update(two_x_min=x_min, two_x_max=x_max,
+                             two_y_min=y_min, two_y_max=y_max)
 
     def as_tuple(self):
         return (self.two_a, self.two_b, self.two_c, self.two_d)
-
-    @cached_property
-    def two_x_min(self):
-        return max(abs(self.two_a - self.two_b), abs(self.two_c - self.two_d))
-
-    @cached_property
-    def two_x_max(self):
-        return min(self.two_a + self.two_b, self.two_c + self.two_d)
-
-    @cached_property
-    def two_y_min(self):
-        return max(abs(self.two_a - self.two_d), abs(self.two_b - self.two_c))
-
-    @cached_property
-    def two_y_max(self):
-        return min(self.two_a + self.two_d, self.two_b + self.two_c)
 
     @property
     def two_s(self):

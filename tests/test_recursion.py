@@ -11,12 +11,28 @@ import pytest
 import scipy.linalg
 
 import spinscreen as ss
-from spinscreen import recursion, verify
+from spinscreen import geometry, recursion, verify
 from spinscreen.recursion import (_stretched_sign, residual_threeterm,
                                   tridiag_coeffs)
 from spinscreen.screen import (ORTHONORMALITY_BOUND, RESIDUAL_BOUND, Laps,
                                finish, require_accepted)
 from conftest import random_valid_quadruple
+
+# threeterm accuracy, as README's method table gives it: every entry of
+# every two_j <= 8 screen within THREETERM_ABS of the oracle (5.6e-16
+# measured); every classically forbidden point (V^2 <= 0) of a screen
+# within FORBIDDEN_REL of it, relative, with no wrong sign anywhere (side
+# 61: 1.7e-15, side 201: 6.6e-15)
+THREETERM_ABS = 1e-15
+FORBIDDEN_REL = 1e-14
+# rows by inverse iteration take T's diagonal as rounded to doubles: every
+# entry of every two_j <= 8 screen within ROWS_ABS of the oracle, 1.2e-15
+# at (1,8,8,1), where w - lambda cancels, and 5.6e-16 on every other
+ROWS_ABS = 2e-15
+# a row by inverse iteration against the same row of a twisted screen, up
+# to side 2001 (1.2e-15 on the two_j <= 8 screens, 7.2e-16 at side 61,
+# 2.6e-15 at 201, 3.0e-15 at 601, 4.1e-15 at 2001)
+ROWS_VS_SCREEN = 1e-14
 
 
 def test_p_plus_vanishes_at_range_ends(ref_params):
@@ -294,7 +310,7 @@ def test_eigensolve_sweep_through_a_zero_ratio_is_silent(monkeypatch, quad):
 def test_stage_timings(ref_params):
     judged = ["residual", "residual_y", "defect"]
     stages = {"eigensolve": ["coeffs", "eigh", "anchor"] + judged,
-              "threeterm": ["coeffs", "solve", "anchor"] + judged,
+              "threeterm": ["coeffs", "factor", "vectors"] + judged,
               "recur2d": ["propagate"] + judged,
               "oracle": ["values"] + judged}
     for p in (ref_params, ss.screen_ranges(0, 8, 8, 8)):
@@ -411,30 +427,43 @@ def test_rows_match_banded_solves_after_the_setup_cache_churns():
         assert np.array_equal(row, first[:, iy]), two_y
 
 
+def _clear_caches():
+    recursion._row_setup.cache_clear()
+    recursion._twist_terms.cache_clear()
+
+
 def test_row_then_screen_equals_screen_then_row():
     p = ss.screen_ranges(96, 43, 107, 50)
     two_y = int(p.y_lattice()[p.side // 2])
-    recursion._row_setup.cache_clear()
+    _clear_caches()
     row_first = ss.row_by_threeterm(two_y, p)
     screen_second = ss.screen_by_threeterm(p).values
-    recursion._row_setup.cache_clear()
+    _clear_caches()
     screen_first = ss.screen_by_threeterm(p).values
     row_second = ss.row_by_threeterm(two_y, p)
     assert np.array_equal(row_first, row_second)
     assert np.array_equal(screen_first, screen_second)
-    assert np.array_equal(row_first, screen_first[:, p.side // 2])
+    assert np.array_equal(row_first,
+                          ss.rows_by_threeterm(p.y_lattice(), p)[:, p.side // 2])
+    # two algorithms: a row by inverse iteration, a screen by one sweep
+    assert np.max(np.abs(row_first - screen_first[:, p.side // 2])) \
+        <= ROWS_VS_SCREEN
 
 
 def test_threeterm_screen_is_its_rows_one_at_a_time(monkeypatch):
-    # a screen is anchored by one sweep and a single row by one LU: above
-    # side 4 with the default share, and above side 1 with a share of 1
+    # every row block is anchored by one sweep and a single row by one LU:
+    # above side 4 with the default share, and above side 1 with a share
+    # of 1; the block is its rows bit for bit, and the screen, by the
+    # twisted sweep, is its rows to rounding
     monkeypatch.setattr(recursion, "_SWEEP_SHARE", 1.0)
     screens = [p for p in _anchor_screens() if p.side != 61]
     assert screens[-1].side == 601
     for p in screens:
-        rows = [ss.row_by_threeterm(int(two_y), p) for two_y in p.y_lattice()]
-        assert np.array_equal(ss.screen_by_threeterm(p).values,
-                              np.column_stack(rows)), p
+        rows = np.column_stack([ss.row_by_threeterm(int(two_y), p)
+                                for two_y in p.y_lattice()])
+        assert np.array_equal(ss.rows_by_threeterm(p.y_lattice(), p), rows), p
+        assert np.max(np.abs(ss.screen_by_threeterm(p).values - rows)) \
+            <= ROWS_VS_SCREEN, p
 
 
 def test_cached_setup_is_read_only_and_results_are_writable(ref_params):
@@ -540,8 +569,70 @@ def test_every_method_matches_oracle_on_every_row():
             err = np.max(np.abs(screen.values - ref))
             assert err <= 1e-11, (name, quad, err)
             require_accepted(screen)
+        rows = np.column_stack([ss.row_by_threeterm(two_y, p)
+                                for two_y in p.y_lattice()])
+        twisted = screens["threeterm"].values
+        assert np.max(np.abs(twisted - ref)) <= THREETERM_ABS, quad
+        assert np.max(np.abs(rows - ref)) <= ROWS_ABS, quad
+        assert np.max(np.abs(rows - twisted)) <= ROWS_VS_SCREEN, quad
         checked += 1
     assert checked == 2761
+
+
+def test_twisted_diagonal_keeps_what_the_double_lacks():
+    # side 2: w - lambda cancels, so w rounded to double alone leaves the
+    # screen 1.0e-15 off (9 ulp); with its remainder it is exact here
+    p = ss.screen_ranges(1, 8, 8, 1)
+    error = ss.screen_by_threeterm(p).values - ss.screen_oracle(p).values
+    assert np.max(np.abs(error)) <= np.finfo(float).eps
+
+
+def _forbidden_rel_and_wrong_signs(p, values, exact):
+    """The largest relative error over the classically forbidden points
+    (V^2 <= 0) and the count of wrong signs over the whole screen."""
+    forbidden = geometry.volume_sq_grid(p) <= 0
+    assert forbidden.any() and np.all(exact != 0)
+    rel = np.abs(values - exact)[forbidden] / np.abs(exact[forbidden])
+    return float(np.max(rel)), int(np.count_nonzero(np.sign(values)
+                                                    != np.sign(exact)))
+
+
+@pytest.mark.parametrize("method", ["threeterm", "recur2d"])
+def test_forbidden_points_keep_their_relative_accuracy(ref_params, ref_oracle,
+                                                       method):
+    # side 61: entries down to 4.4e-22; eigensolve is 5e2 off there
+    values = ss.SCREEN_METHODS[method](ref_params).values
+    rel, wrong = _forbidden_rel_and_wrong_signs(ref_params, values,
+                                                ref_oracle.values)
+    assert rel <= FORBIDDEN_REL and wrong == 0, (rel, wrong)
+
+
+@pytest.mark.slow
+def test_threeterm_forbidden_points_at_side_201():
+    # entries down to 3.6e-72; eigensolve has 975 wrong signs here
+    p = ss.screen_ranges(200, 300, 400, 366)
+    exact = ss.screen_oracle(p).values
+    values = ss.screen_by_threeterm(p).values
+    rel, wrong = _forbidden_rel_and_wrong_signs(p, values, exact)
+    assert rel <= FORBIDDEN_REL and wrong == 0, (rel, wrong)
+    assert np.max(np.abs(values - exact)) <= 1e1 * THREETERM_ABS
+
+
+@pytest.mark.parametrize("quad", [(60, 90, 120, 110), (200, 300, 400, 366)])
+def test_threeterm_rows_agree_with_the_screen(quad):
+    # two algorithms: rows and blocks of any width by inverse iteration, a
+    # screen by the twisted sweep; a block just under _SWEEP_SHARE n rows
+    # is anchored by one LU per row, one just over it by one sweep
+    p = ss.screen_ranges(*quad)
+    screen = ss.screen_by_threeterm(p).values
+    rows = np.column_stack([ss.row_by_threeterm(two_y, p)
+                            for two_y in p.y_lattice()])
+    assert np.max(np.abs(rows - screen)) <= ROWS_VS_SCREEN
+    wide = math.ceil(recursion._SWEEP_SHARE * p.side)
+    iys = np.random.default_rng(p.side).permutation(p.side)[:wide]
+    for block_iys in (iys[:-1], iys):
+        block = ss.rows_by_threeterm(p.y_lattice()[block_iys], p)
+        assert np.array_equal(block, rows[:, block_iys])
 
 
 @pytest.mark.slow
@@ -819,6 +910,23 @@ def test_verify_orthonormality_reads_diagnostic(ref_params, ref_eig):
     assert result.threshold == verify.ORTHONORMALITY_BOUND
 
 
+def test_verify_threeterm_reads_its_bound(ref_params, ref_eig):
+    twisted = ss.screen_by_threeterm(ref_params)
+
+    def check(values):
+        screens = {"eigensolve": ref_eig,
+                   "threeterm": ss.Screen(ref_params, values, "threeterm")}
+        (result,) = verify.check_threeterm(ref_params, None, 0,
+                                           lambda method, p: screens[method])
+        assert result.threshold == verify.THREETERM_BOUND
+        return result.passed
+
+    assert check(twisted.values)
+    scaled = twisted.values.copy()
+    scaled[:, 20] *= 1 + 1e-8
+    assert not check(scaled)
+
+
 def test_verify_builds_each_screen_once(monkeypatch, ref_params):
     calls = {}
     for method, build in list(ss.SCREEN_METHODS.items()):
@@ -887,12 +995,31 @@ def _refinished(screen, values):
 
 
 @pytest.mark.parametrize("quad", [(1000, 1000, 1000, 1000),
-                                  (2000, 2000, 2000, 2000)])
+                                  (2000, 2000, 2000, 2000),
+                                  (2000, 3000, 4000, 3666)])
 @pytest.mark.parametrize("method", ["eigensolve", "threeterm"])
 def test_gate_accepts_large_kappa_screens(gate_screens, method, quad):
     # the screens a bound of 1e-12 would reject: eigensolve's y residual
     # reads 1.5e-12 and 2.5e-12 here
     require_accepted(gate_screens(method, quad))
+
+
+@pytest.mark.parametrize("quad", [(1000, 1000, 1000, 1000),
+                                  (2000, 2000, 2000, 2000)])
+def test_verify_threeterm_passes_large_kappa_screens(gate_screens, quad):
+    # eigensolve's own error is worst here: 1.3e-12 and 2.5e-12 off
+    # threeterm, which a bound of 1e-12 would reject
+    (result,) = verify.check_threeterm(ss.screen_ranges(*quad), None, 0,
+                                       lambda method, p: gate_screens(method, quad))
+    assert result.passed, result.value
+
+
+def test_twisted_screen_holds_no_denormal(gate_screens):
+    # its tails underflow: below the smallest normal double they are 0, as
+    # a denormal operand slows the defect's Gram product down
+    values = np.abs(gate_screens("threeterm", (2000, 3000, 4000, 3666)).values)
+    assert np.count_nonzero(values == 0) > 0
+    assert np.count_nonzero((values > 0) & (values < np.finfo(float).tiny)) == 0
 
 
 # a column of U (the row U(., y) of one y) with its sign flipped satisfies

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -52,6 +53,31 @@ def test_non_integer_two_j_raises(two_a):
 
 def test_numpy_integer_two_j_is_valid():
     assert ss.screen_ranges(np.int64(60), 90, 120, 110).side == 61
+
+
+def test_screen_params_value_semantics():
+    # the ranges are computed at construction; equality, hash and repr see
+    # only the four parameters, and the instance stays frozen
+    p = ss.ScreenParams(60, 90, 120, 110)
+    q = ss.ScreenParams(np.int64(60), 90, 120, 110)
+    assert p == q and hash(p) == hash(q) and {p: 1}[q] == 1
+    assert p != ss.ScreenParams(60, 110, 120, 90)
+    assert repr(p) == "ScreenParams(two_a=60, two_b=90, two_c=120, two_d=110)"
+    assert (p.two_x_min, p.two_x_max, p.two_y_min, p.two_y_max) \
+        == (q.two_x_min, q.two_x_max, q.two_y_min, q.two_y_max) == (30, 150, 50, 170)
+    for name in ("two_a", "two_x_min"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, name, 0)
+
+
+@pytest.mark.parametrize("quad, error", [
+    ((-2, 2, 2, 2), ValueError), ((-1, 2, 2, 2), ValueError),
+    ((2, 2, 2, 2.0), ValueError), ((1, 2, 2, 2), ss.EmptyScreen),
+    ((2, 2, 10, 2), ss.EmptyScreen), ((0, 4, 0, 2), ss.EmptyScreen)])
+def test_screen_params_rejects_in_order(quad, error):
+    # the type and sign check comes before the parity and range checks
+    with pytest.raises(error):
+        ss.ScreenParams(*quad)
 
 
 def test_regge_conjugate():
