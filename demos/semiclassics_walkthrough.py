@@ -1,4 +1,4 @@
-"""Discrete WKB on a screen: local momentum, the quantization ladder, and
+"""Discrete WKB on a screen: local momentum, the quantization count, and
 the stationary-phase estimate against exact values."""
 
 import warnings
@@ -20,16 +20,15 @@ print("dihedral angles:", {k: "%.4f" % v for k, v in ang.as_dict().items()})
 p = ss.local_momentum(900, 1100, params)
 print("local momentum at (450, 550): %.4f" % p)
 
-# quantization ladder: the loop action grows by ~pi per row mid-screen
+# quantization count: n rounds to the row's n - 1 - iy sign changes, so it
+# falls by one per row
 ys = params.y_lattice()
 mid = params.side // 2
-print("\nrow   action      n")
-prev = None
+print("\n%4s  %9s  %8s  %7s" % ("row", "action", "n", "n-1-iy"))
 for j in range(mid, mid + 6):
     bs = ss.bohr_sommerfeld(int(ys[j]), params)
-    step = "" if prev is None else "  (+%.3f)" % (bs.n_estimate - prev)
-    print("%4d  %9.2f  %8.3f%s" % (j, bs.action, bs.n_estimate, step))
-    prev = bs.n_estimate
+    print("%4d  %9.2f  %8.3f  %7d"
+          % (j, bs.action, bs.n_estimate, params.side - 1 - j))
 
 # one stationary-phase value against the eigensolver
 eig = ss.screen_by_eigensolve(params)

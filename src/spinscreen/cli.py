@@ -50,7 +50,8 @@ _SCREEN_BUILDERS = recursion.SCREEN_METHODS
 
 def cmd_compute(args):
     outputs = [o.strip() for o in args.output.split(",") if o.strip()]
-    for o in outputs:
+    # an empty list has nothing to write: report the text as the unknown output
+    for o in outputs or [args.output]:
         if o not in _OUTPUTS:
             print("unknown output %r (choose from %s)" % (o, ", ".join(_OUTPUTS)),
                   file=sys.stderr)

@@ -274,6 +274,7 @@ def geometric_coeffs(two_x, two_y, params: ScreenParams):
     cos(theta3) / X'^2 at an edge X', that is -_edge_cos_num / X'^2, with
     X'^2 = X^2 - 1/4 in the area form and X' = X in the geometric-mean form.
     """
+    params.point_index(two_x, two_y)
     t = Tetrahedron.from_two_j(params, two_x, two_y)
     A2, B2, C2, D2 = t.A ** 2, t.B ** 2, t.C ** 2, t.D ** 2
     X, Y2 = t.X, t.Y ** 2

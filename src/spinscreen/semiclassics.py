@@ -1,4 +1,4 @@
-"""Discrete WKB layer: local momentum, quantization ladder, dihedral angles
+"""Discrete WKB layer: local momentum, quantization count, dihedral angles
 and the stationary-phase amplitude estimate compared against exact values."""
 
 import math
@@ -16,6 +16,7 @@ from .spins import ScreenParams
 
 def local_momentum(two_x, two_y, params: ScreenParams):
     """Lattice momentum p = sqrt(2 - 2 cos(theta3)), nonnegative branch."""
+    params.point_index(two_x, two_y)
     t = Tetrahedron.from_two_j(params, two_x, two_y)
     if geometry._volume_sq(t) < 0:
         raise OutsideDomain("(%d,%d) is classically forbidden" % (two_x, two_y))
@@ -29,33 +30,21 @@ class BohrSommerfeld(NamedTuple):
 
 
 def bohr_sommerfeld(two_y, params: ScreenParams):
-    """Closed-loop action over a row's classical window and its mode number.
+    """Lattice phase of a row; action = (n + 1/2) pi defines n.
 
-    The phase per lattice step is the Bloch angle of the three-term
-    recursion, i.e. the interior dihedral angle at edge X (arccos of the
-    negated dihedral cosine).  Trapezoid on the unit lattice with linear
-    interpolation of cos(theta3) to the fractional turning points; the loop
-    doubles the one-way integral and action = (n + 1/2) pi defines n.
+    Each point of the classical window adds arccos(cos theta3), and each
+    step touching cos theta3 < -1, where the row alternates in sign, adds
+    pi.  n rounds to the side - 1 - iy sign changes of row iy (Sturm).
     """
     params.row_index(two_y)
-    t = Tetrahedron.from_two_j(params, params.x_lattice(), two_y)
-    c3 = geometry._cos_theta3(t)
-    xs = t.X
-    inside = np.isfinite(c3) & (np.abs(c3) <= 1.0)
+    c3 = geometry._cos_theta3(
+        Tetrahedron.from_two_j(params, params.x_lattice(), two_y))
+    inside = np.abs(c3) <= 1.0
     if not inside.any():
         raise NoClassicalWindow("row two_y=%d has no classical points" % two_y)
-    idx = np.flatnonzero(inside)
-    i0, i1 = int(idx[0]), int(idx[-1])
-    k = math.pi - np.arccos(np.clip(c3[i0:i1 + 1], -1.0, 1.0))
-    action = float(np.trapezoid(k, xs[i0:i1 + 1])) if i1 > i0 else 0.0
-    for edge, step in ((i0, -1), (i1, +1)):
-        nb = edge + step
-        if 0 <= nb < len(xs) and np.isfinite(c3[nb]) and abs(c3[nb]) > 1.0:
-            target = 1.0 if c3[nb] > 1.0 else -1.0
-            frac = (target - c3[edge]) / (c3[nb] - c3[edge])
-            k_star = math.pi if target > 0 else 0.0
-            action += abs(frac) * 0.5 * (k[edge - i0] + k_star)
-    action *= 2.0
+    below = c3 < -1.0
+    action = (float(np.sum(np.arccos(c3[inside])))
+              + math.pi * int(np.count_nonzero(below[1:] | below[:-1])))
     return BohrSommerfeld(action=action, n_estimate=action / math.pi - 0.5)
 
 
@@ -93,6 +82,7 @@ def dihedral_angles(t: Tetrahedron):
 
 def _pr_point(two_x, two_y, params: ScreenParams):
     """The _pr_grid entries at one lattice point; OutsideDomain unless V^2 > 0."""
+    params.point_index(two_x, two_y)
     entries = _pr_grid(Tetrahedron.from_two_j(params, two_x, two_y))
     if not entries[4]:
         raise OutsideDomain("(%d,%d) is outside the classical region"

@@ -195,14 +195,14 @@ def test_criterion_08_ponzano_regge(big_params, big_eig):
 
 
 def test_criterion_09_bohr_sommerfeld_ladder(big_params):
-    mid = big_params.side // 2
     ys = big_params.y_lattice()
-    estimates = [ss.bohr_sommerfeld(int(ys[j]), big_params).n_estimate
-                 for j in range(mid - 5, mid + 6)]
-    steps = np.diff(estimates)
-    assert np.all(steps >= 0.9) and np.all(steps <= 1.1)
-    report("9 PASS Bohr-Sommerfeld ladder: steps in [%.3f, %.3f] over 10 "
-           "adjacent mid-screen rows" % (steps.min(), steps.max()))
+    nodes = big_params.side - 1 - np.arange(big_params.side)
+    estimates = np.array([ss.bohr_sommerfeld(int(two_y), big_params).n_estimate
+                          for two_y in ys])
+    assert np.array_equal(np.round(estimates), nodes)
+    report("9 PASS Bohr-Sommerfeld count: n rounds to side - 1 - iy on all %d "
+           "rows, max deviation %.3f"
+           % (big_params.side, np.max(np.abs(estimates - nodes))))
 
 
 def test_criterion_10_ninej_recurrence(ref_params):

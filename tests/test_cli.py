@@ -102,6 +102,17 @@ def test_compute_invalid_output(tmp_path):
     assert cp.returncode == 2
 
 
+@pytest.mark.parametrize("output", ["", ","], ids=["empty", "comma"])
+def test_compute_without_an_output_is_a_usage_error(tmp_path, capsys, output):
+    code = cli.main(["compute", *SMALL, "--output", output,
+                     "--outdir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "(choose from %s)" % ", ".join(cli._OUTPUTS) in captured.err
+    assert captured.out == ""
+    assert not any(tmp_path.iterdir())
+
+
 def test_compute_invalid_params(tmp_path):
     cp = run_cli("compute", "--two-a", "2", "--two-b", "2", "--two-c", "10",
                  "--two-d", "2", "--outdir", str(tmp_path))

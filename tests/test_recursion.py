@@ -485,6 +485,11 @@ def test_setup_cache_is_bounded():
     info = recursion._row_setup.cache_info()
     assert info.maxsize == recursion._SETUP_CACHE == 8
     assert info.currsize <= info.maxsize
+    for k in range(1, recursion._SETUP_CACHE + 4):
+        ss.screen_by_threeterm(ss.screen_ranges(2 * k, 2 * k, 2 * k, 2 * k))
+    info = recursion._twist_terms.cache_info()
+    assert info.maxsize == recursion._SETUP_CACHE
+    assert info.currsize <= info.maxsize
 
 
 def test_singular_shift_raises_with_a_cached_setup(monkeypatch):

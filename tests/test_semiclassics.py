@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import warnings
@@ -209,73 +210,57 @@ def test_bohr_sommerfeld_action_regge_invariant(ref_params):
         assert a.action == pytest.approx(b.action, rel=1e-12)
 
 
+def _count_deviations(params, iys):
+    """|n_estimate - (side - 1 - iy)| at rows iys, after asserting that
+    n_estimate rounds to that count of sign changes."""
+    ys = params.y_lattice()
+    devs = []
+    for iy in iys:
+        n_est = ss.bohr_sommerfeld(int(ys[iy]), params).n_estimate
+        nodes = params.side - 1 - iy
+        assert round(n_est) == nodes, (params.as_tuple(), iy, n_est)
+        devs.append(abs(n_est - nodes))
+    return np.array(devs)
+
+
 def test_bohr_sommerfeld_tangent_row():
-    # a one-lattice-point classical window: the loop nearly vanishes
+    # a one-lattice-point classical window; the zone cos(theta3) < -1
+    # carries the count
     p = ss.screen_ranges(2, 4, 2, 4)
     c3 = ss.cos_theta3_grid(p)[:, p.y_index(2)]
     assert np.sum(np.isfinite(c3) & (np.abs(c3) <= 1)) == 1
-    bs = ss.bohr_sommerfeld(2, p)
-    assert bs.action < 1.5
-    assert -0.5 - 1e-9 <= bs.n_estimate < 0.0
+    assert round(ss.bohr_sommerfeld(2, p).n_estimate) == 2
 
 
-def test_bohr_sommerfeld_monotone(ref_params):
-    values = []
-    for iy in range(20, 41):
-        ty = int(ref_params.y_lattice()[iy])
-        values.append(ss.bohr_sommerfeld(ty, ref_params).n_estimate)
-    assert np.all(np.diff(values) > 0)
+def test_bohr_sommerfeld_counts_every_row_of_every_small_screen():
+    rows = 0
+    for quad in itertools.product(range(9), repeat=4):
+        if sum(quad) % 2:
+            continue
+        try:
+            p = ss.screen_ranges(*quad)
+        except ss.EmptyScreen:
+            continue
+        _count_deviations(p, range(p.side))
+        rows += p.side
+    assert rows == 6485
 
 
-def test_bohr_sommerfeld_ladder_big_params(big_params):
-    mid = big_params.side // 2
-    ys = big_params.y_lattice()
-    prev = None
-    for j in range(mid - 5, mid + 6):
-        n_est = ss.bohr_sommerfeld(int(ys[j]), big_params).n_estimate
-        if prev is not None:
-            assert 0.9 <= n_est - prev <= 1.1
-        prev = n_est
+@pytest.mark.parametrize("quad", [(60, 90, 120, 110), (200, 300, 400, 366),
+                                  (200, 200, 200, 200)],
+                         ids=["side61", "side201", "side201-equal"])
+def test_bohr_sommerfeld_counts_every_row(quad):
+    p = ss.screen_ranges(*quad)
+    assert _count_deviations(p, range(p.side)).max() < 0.2
 
 
-def _bohr_sommerfeld_by_column(two_y, params):
-    """Reference: the action read from one column of the (n, n) grid."""
-    c3 = ss.cos_theta3_grid(params)[:, params.y_index(two_y)]
-    xs = ss.edge_length(params.x_lattice())
-    idx = np.flatnonzero(np.isfinite(c3) & (np.abs(c3) <= 1.0))
-    if not idx.size:
-        return None
-    i0, i1 = int(idx[0]), int(idx[-1])
-    k = math.pi - np.arccos(np.clip(c3[i0:i1 + 1], -1.0, 1.0))
-    action = float(np.trapezoid(k, xs[i0:i1 + 1])) if i1 > i0 else 0.0
-    for edge, step in ((i0, -1), (i1, +1)):
-        nb = edge + step
-        if 0 <= nb < len(xs) and np.isfinite(c3[nb]) and abs(c3[nb]) > 1.0:
-            target = 1.0 if c3[nb] > 1.0 else -1.0
-            frac = (target - c3[edge]) / (c3[nb] - c3[edge])
-            k_star = math.pi if target > 0 else 0.0
-            action += abs(frac) * 0.5 * (k[edge - i0] + k_star)
-    return 2.0 * action
-
-
-def test_bohr_sommerfeld_equals_the_grid_column_route(ref_params, big_params):
-    from conftest import random_valid_quadruple
-    rng = random.Random(17)
-    screens = [(ref_params, ref_params.y_lattice()),
-               (big_params, big_params.y_lattice()[::30])]
-    for _ in range(30):
-        p = random_valid_quadruple(rng, two_j_max=60)
-        screens.append((p, p.y_lattice()))
-    n_row = 0
-    for p, two_ys in screens:
-        for ty in two_ys:
-            try:
-                action = ss.bohr_sommerfeld(int(ty), p).action
-            except ss.NoClassicalWindow:
-                action = None
-            assert action == _bohr_sommerfeld_by_column(int(ty), p)
-            n_row += action is not None
-    assert n_row > 200
+def test_bohr_sommerfeld_counts_sampled_rows_up_to_side_19201():
+    p90 = []
+    for k in (1, 4, 16, 64):
+        p = ss.screen_ranges(300 * k, 450 * k, 600 * k, 550 * k)
+        iys = np.linspace(0, p.side - 1, 201).astype(int)
+        p90.append(np.quantile(_count_deviations(p, iys), 0.9))
+    assert np.all(np.diff(p90) < 0), p90
 
 
 def test_bohr_sommerfeld_off_lattice_row(ref_params):
@@ -283,3 +268,13 @@ def test_bohr_sommerfeld_off_lattice_row(ref_params):
         ss.bohr_sommerfeld(ref_params.two_y_min + 1, ref_params)
     with pytest.raises(ss.OutOfRange):
         ss.bohr_sommerfeld(ref_params.two_y_max + 2, ref_params)
+
+
+@pytest.mark.parametrize("point", [(901, 1100), (900, 1101), (1502, 1100),
+                                   (900, 1740)])
+@pytest.mark.parametrize("func", [ss.local_momentum, ss.pr_phase,
+                                  ss.pr_amplitude, ss.geometric_coeffs],
+                         ids=lambda f: f.__name__)
+def test_point_functions_raise_off_the_lattice(big_params, func, point):
+    with pytest.raises(ss.OutOfRange, match="not on the screen lattice"):
+        func(*point, big_params)
