@@ -53,8 +53,8 @@ print("\np+ exact %.6f vs area-form %.6f vs mean-form %.6f"
       % (coeffs.p_plus[k], g.p_plus, g.p_plus_gm))
 
 # potential curves sandwich the eigenvalues
-pot = ss.potentials(params, "geometric")
+pot = ss.potentials(params)
 lam = coeffs.lam[params.y_index(110)]
-inside = (pot.w_minus <= lam) & (lam <= pot.w_plus)
+inside = (pot.w_minus_geometric <= lam) & (lam <= pot.w_plus_geometric)
 print("lambda(y=55) lies inside [W-, W+] on %d of %d lattice points"
       % (np.count_nonzero(inside), params.side))

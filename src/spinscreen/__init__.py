@@ -9,7 +9,7 @@ from .exact import (SqrtRational, factorial, screen_oracle, sixj_exact,
                     sixj_unit, sixj_zero_entry, u_exact)
 from .geometry import (CausticData, GeometricCoeffs, PotentialCurves,
                        Tetrahedron, cos_theta3, cos_theta3_grid, edge_length,
-                       f_transform, geometric_coeffs, heron_area,
+                       f_residual, f_transform, geometric_coeffs, heron_area,
                        lambda_quartic, potentials, ridges_and_caustics,
                        sin_theta3, volume_sq, volume_sq_gram, volume_sq_grid)
 from .ninej import (NinejResidual, RecurrenceCoeffs9j, ReductionReport,
@@ -21,8 +21,9 @@ from .screen import Screen, TridiagCoeffs, residual_threeterm, tridiag_coeffs
 from .semiclassics import (BohrSommerfeld, DihedralAngles, PRComparison,
                            bohr_sommerfeld, dihedral_angles, local_momentum,
                            pr_amplitude, pr_compare, pr_phase)
-from .spins import (CanonicalForm, ScreenParams, canonicalize,
-                    regge_conjugate, screen_ranges, symmetry_orbit, triad_ok)
+from .spins import (CanonicalForm, ScreenParams, canonical_c_range_ok,
+                    canonicalize, regge_conjugate, screen_ranges,
+                    symmetry_orbit, triad_ok)
 
 __version__ = "0.1.0"
 

@@ -94,9 +94,7 @@ def cmd_compute(args):
             written.append(path)
     if "potentials" in outputs:
         path = base + "_potentials.json"
-        exports.write_potentials_json(
-            geometry.potentials(params, "arithmetic"),
-            geometry.potentials(params, "geometric"), path)
+        exports.write_potentials_json(geometry.potentials(params), path)
         written.append(path)
     if "cos-theta3" in outputs:
         grid = geometry.cos_theta3_grid(params)

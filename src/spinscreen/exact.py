@@ -29,25 +29,18 @@ factorial = lru_cache(maxsize=None)(math.factorial)
 
 
 def _signed_sqrt_ratio(num, den, negative):
-    """+-sqrt(num/den) for positive integers num, den.
+    """+-sqrt(num/den) for integers num >= 0, den > 0; +0.0 for num = 0.
 
-    num/den is CPython's correctly rounded int/int division, the same
-    rounding as float(Fraction).  A quotient that underflows to 0.0 or
-    overflows is rescaled by a power of 4 first, and the root by the
-    matching power of 2; a root above the double range raises
-    OverflowError.
+    num/den is scaled by 4**-e into (1/2, 4), a normal double at any
+    magnitude, and divided once with CPython's correctly rounded int/int
+    division.  Scaling by a power of two commutes with that rounding and
+    with sqrt, so the root is the plain quotient's wherever that is
+    normal; ldexp rounds once into the subnormal range and raises
+    OverflowError above the double range.
     """
-    sign = -1.0 if negative else 1.0
-    try:
-        f = num / den
-    except OverflowError:
-        shift = (num.bit_length() - den.bit_length()) // 2
-        return math.ldexp(sign * math.sqrt(num / (den << 2 * shift)), shift)
-    if f == 0.0:
-        shift = (den.bit_length() - num.bit_length()) // 2
-        f = (num << 2 * shift) / den
-        return sign * math.sqrt(f) * math.ldexp(1.0, -shift)
-    return sign * math.sqrt(f)
+    e = (num.bit_length() - den.bit_length()) // 2
+    root = math.sqrt(num / (den << 2 * e) if e >= 0 else (num << -2 * e) / den)
+    return math.ldexp(-root if negative else root, e)
 
 
 # squarefree_split divides by the primes below this, read from one sieve
@@ -206,11 +199,10 @@ class SqrtRational:
     def to_real(self):
         """Correctly-rounded-to-~1ulp double of q*sqrt(p); a value above the
         double range raises OutOfRange."""
-        if self.q == 0:
-            return 0.0
-        r2 = self.q * self.q * self.p
+        q = self.q
         try:
-            return _signed_sqrt_ratio(r2.numerator, r2.denominator, self.q < 0)
+            return _signed_sqrt_ratio(q.numerator ** 2 * self.p,
+                                      q.denominator ** 2, q < 0)
         except OverflowError:
             raise OutOfRange("%s is above the double range"
                              % type(self).__name__) from None
@@ -399,8 +391,6 @@ def _u_real(quad, tx, ty, dx, dy):
     """
     ta, tb, tc, td = quad
     total, den = _racah_sum(ta, tb, tx, tc, td, ty)
-    if total == 0:
-        return 0.0
     return _signed_sqrt_ratio(total * total * ((tx + 1) * (ty + 1)),
                               den * den * dx * dy, total < 0)
 
@@ -420,8 +410,8 @@ def screen_oracle(params: ScreenParams):
     for iy, ty in enumerate(ys):
         for ix, tx in enumerate(xs):
             values[ix, iy] = _u_real(quad, tx, ty, cols[ix], rows[iy])
-    # one spot check against the SqrtRational route, at the corner where
-    # large screens take the underflow rescale
+    # one spot check against the SqrtRational route, at the corner, where
+    # the U^2 of large screens falls below the double range
     corner = u_exact(xs[-1], ys[-1], params).to_real()
     if values[-1, -1] != corner:
         raise ConvergenceFailure("oracle float path gives %r at (%d,%d), "

@@ -125,15 +125,15 @@ def write_ridges_json(caustics, path):
     }, path)
 
 
-def write_potentials_json(pot_arith, pot_geom, path):
+def write_potentials_json(curves, path):
     """Both potential curves for both mean conventions, [X, W] pairs."""
-    X = edge_length(pot_arith.x_lattice)
+    X = edge_length(curves.x_lattice)
     _write_json({
-        "metadata": dict(_meta(pot_arith.params), coordinates="shifted"),
-        "w_plus_arithmetic": _pairs(X, pot_arith.w_plus),
-        "w_minus_arithmetic": _pairs(X, pot_arith.w_minus),
-        "w_plus_geometric": _pairs(X, pot_geom.w_plus),
-        "w_minus_geometric": _pairs(X, pot_geom.w_minus),
+        "metadata": dict(_meta(curves.params), coordinates="shifted"),
+        "w_plus_arithmetic": _pairs(X, curves.w_plus_arithmetic),
+        "w_minus_arithmetic": _pairs(X, curves.w_minus_arithmetic),
+        "w_plus_geometric": _pairs(X, curves.w_plus_geometric),
+        "w_minus_geometric": _pairs(X, curves.w_minus_geometric),
     }, path)
 
 

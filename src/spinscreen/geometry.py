@@ -305,30 +305,29 @@ def geometric_coeffs(two_x, two_y, params: ScreenParams):
 
 @dataclass
 class PotentialCurves:
-    """Upper and lower potential curves over the x lattice."""
+    """Upper and lower potential curves over the x lattice, for both the
+    arithmetic and the geometric mean pbar of p+ and p-."""
 
     params: ScreenParams
     x_lattice: np.ndarray
-    w_plus: np.ndarray
-    w_minus: np.ndarray
-    pbar_mode: str
+    w_plus_arithmetic: np.ndarray
+    w_minus_arithmetic: np.ndarray
+    w_plus_geometric: np.ndarray
+    w_minus_geometric: np.ndarray
 
 
-def potentials(params: ScreenParams, pbar_mode="geometric"):
-    """W(+-)(x) = w(x) +- 2|pbar(x)| for either mean of p+ and p-."""
+def potentials(params: ScreenParams):
+    """W(+-)(x) = w(x) +- 2|pbar(x)| for both means of p+ and p-."""
     coeffs = tridiag_coeffs(params)
     pp = coeffs.p_plus
     pm = np.concatenate(([0.0], pp[:-1]))
-    if pbar_mode == "arithmetic":
-        pbar = 0.5 * (pp + pm)
-    elif pbar_mode == "geometric":
-        pbar = np.sqrt(np.maximum(pp * pm, 0.0))
-    else:
-        raise ValueError("pbar_mode must be 'arithmetic' or 'geometric'")
+    arith = 2 * np.abs(0.5 * (pp + pm))
+    geom = 2 * np.abs(np.sqrt(np.maximum(pp * pm, 0.0)))
     return PotentialCurves(params=params, x_lattice=params.x_lattice(),
-                           w_plus=coeffs.w + 2 * np.abs(pbar),
-                           w_minus=coeffs.w - 2 * np.abs(pbar),
-                           pbar_mode=pbar_mode)
+                           w_plus_arithmetic=coeffs.w + arith,
+                           w_minus_arithmetic=coeffs.w - arith,
+                           w_plus_geometric=coeffs.w + geom,
+                           w_minus_geometric=coeffs.w - geom)
 
 
 def f_transform(u_row, params: ScreenParams, two_y):

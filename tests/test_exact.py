@@ -1,7 +1,8 @@
 import itertools
 import math
 import random
-from decimal import Decimal, getcontext
+import sys
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -388,11 +389,72 @@ def test_float_path_rescales_an_underflowing_square():
     dx = _axis_denominators(((600, 900), (1200, 1100)), [tx])[0]
     dy = _axis_denominators(((600, 1100), (1200, 900)), [ty])[0]
     total, den = _racah_sum(600, 900, tx, 1200, 1100, ty)
-    # U^2 itself underflows, so only the rescale branch gives a value
+    # U^2 itself underflows a double; its quotient, scaled into the normal
+    # range before the one division, keeps every bit
     assert total * total * (tx + 1) * (ty + 1) / (den * den * dx * dy) == 0.0
     expected = 1.2395618071713993e-215
     assert ss.u_exact(tx, ty, p).to_real() == expected
     assert _u_real(quad, tx, ty, dx, dy) == expected
+
+
+def _decimal_root(num, den, negative=False):
+    """sqrt(num/den) to 60 digits, rounded once to double."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        root = float((Decimal(num) / Decimal(den)).sqrt())
+    return -root if negative else root
+
+
+@pytest.mark.parametrize("tx, ty", [(1500, 1614), (1408, 1700)])
+def test_oracle_rounds_right_where_the_square_is_subnormal(tx, ty):
+    # |U| here is about 5.8e-162 and 2.8e-162, so U^2 is a subnormal double
+    # (below 2.2e-308) and a plain int/int quotient keeps only a few bits
+    quad = (600, 900, 1200, 1100)
+    p = ss.screen_ranges(*quad)
+    dx = _axis_denominators(((600, 900), (1200, 1100)), [tx])[0]
+    dy = _axis_denominators(((600, 1100), (1200, 900)), [ty])[0]
+    total, den = _racah_sum(600, 900, tx, 1200, 1100, ty)
+    u2_num, u2_den = total * total * (tx + 1) * (ty + 1), den * den * dx * dy
+    assert 0.0 < u2_num / u2_den < sys.float_info.min
+    ref = _decimal_root(u2_num, u2_den, total < 0)
+    for got in (ss.u_exact(tx, ty, p).to_real(),
+                _u_real(quad, tx, ty, dx, dy)):
+        assert abs(got - ref) <= math.ulp(ref)
+
+
+def _bits(rng, length):
+    """A random integer of exactly `length` bits."""
+    return rng.getrandbits(length - 1) | (1 << (length - 1))
+
+
+def test_signed_sqrt_ratio_is_within_one_ulp_at_every_magnitude():
+    # quotient exponents drawn over the whole span of 1-5000-bit operands,
+    # and over the two bands a single rounding must cover: subnormal
+    # quotients (2^-1074 .. 2^-1022) and roots below the smallest normal
+    # double (quotients below 2^-2044)
+    rng = random.Random(26)
+    bands = ((-4999, 4999), (-1076, -1020), (-2152, -2043))
+    seen = {"subnormal quotient": 0, "subnormal root": 0, "overflow": 0}
+    for i in range(3000):
+        diff = rng.randint(*bands[i % 3])
+        den_bits = rng.randint(max(1, 1 - diff), min(5000, 5000 - diff))
+        num, den = _bits(rng, den_bits + diff), _bits(rng, den_bits)
+        negative = rng.random() < 0.5
+        ref = _decimal_root(num, den, negative)
+        if math.isinf(ref):
+            seen["overflow"] += 1
+            with pytest.raises(OverflowError):
+                exact._signed_sqrt_ratio(num, den, negative)
+            continue
+        got = exact._signed_sqrt_ratio(num, den, negative)
+        assert abs(got - ref) <= math.ulp(ref), (num, den)
+        # num/den lies in (2^(diff-1), 2^(diff+1))
+        seen["subnormal quotient"] += -1073 <= diff <= -1023
+        seen["subnormal root"] += abs(ref) < sys.float_info.min
+    assert min(seen.values()) > 20, seen
+    for den in (1, 3, 10 ** 400, 10 ** 1500):
+        zero = exact._signed_sqrt_ratio(0, den, False)
+        assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
 
 
 def test_sixj_exact_matches_sympy_at_large_spins():

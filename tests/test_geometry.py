@@ -253,22 +253,23 @@ def test_geometric_mean_form_less_accurate(ref_params):
 
 
 def test_potentials_geometric_endpoint(ref_params):
-    pot = ss.potentials(ref_params, "geometric")
+    pot = ss.potentials(ref_params)
     coeffs = tridiag_coeffs(ref_params)
-    assert pot.w_plus[-1] == pytest.approx(coeffs.w[-1])
-    assert pot.w_minus[-1] == pytest.approx(coeffs.w[-1])
-    assert np.all(pot.w_minus <= pot.w_plus + 1e-12)
+    assert pot.w_plus_geometric[-1] == pytest.approx(coeffs.w[-1])
+    assert pot.w_minus_geometric[-1] == pytest.approx(coeffs.w[-1])
+    assert np.all(pot.w_minus_geometric <= pot.w_plus_geometric + 1e-12)
 
 
 def test_potentials_modes_agree_mid_range(ref_params):
     # W+ crosses zero mid-range, so differences are measured against the
     # potential scale rather than pointwise values
-    pa = ss.potentials(ref_params, "arithmetic")
-    pg = ss.potentials(ref_params, "geometric")
+    pot = ss.potentials(ref_params)
     n = ref_params.side
     sl = slice(n // 4, 3 * n // 4)
-    scale = max(np.max(np.abs(pa.w_plus[sl])), np.max(np.abs(pa.w_minus[sl])))
-    for wa, wg in ((pa.w_plus, pg.w_plus), (pa.w_minus, pg.w_minus)):
+    scale = max(np.max(np.abs(pot.w_plus_arithmetic[sl])),
+                np.max(np.abs(pot.w_minus_arithmetic[sl])))
+    for wa, wg in ((pot.w_plus_arithmetic, pot.w_plus_geometric),
+                   (pot.w_minus_arithmetic, pot.w_minus_geometric)):
         assert np.max(np.abs(wa[sl] - wg[sl])) < 1e-3 * scale
 
 
@@ -277,12 +278,13 @@ def test_classical_window_matches_caustics(ref_params):
     # within one lattice step of a caustic crossing; windows clipped by the
     # lattice boundary may disagree at the boundary point itself
     coeffs = tridiag_coeffs(ref_params)
-    pot = ss.potentials(ref_params, "arithmetic")
+    pot = ss.potentials(ref_params)
     v2 = volume_sq_grid(ref_params)
     n = ref_params.side
     for iy in (5, 15, 30, 45, 55):
         lam = coeffs.lam[iy]
-        window_pot = (pot.w_minus <= lam) & (lam <= pot.w_plus)
+        window_pot = ((pot.w_minus_arithmetic <= lam)
+                      & (lam <= pot.w_plus_arithmetic))
         window_vol = v2[:, iy] > 0
         disagree = np.flatnonzero(window_pot != window_vol)
         edges = np.flatnonzero(np.diff(window_vol.astype(int)) != 0)

@@ -159,11 +159,24 @@ def test_canonicalize_idempotent():
 
 
 def test_canonical_c_range_membership(ref_params):
-    from spinscreen.spins import canonical_c_range_ok
     rng = random.Random(19)
     for _ in range(200):
         p = random_valid_quadruple(rng, two_j_max=20)
-        assert canonical_c_range_ok(ss.canonicalize(*p.as_tuple()))
+        assert ss.canonical_c_range_ok(ss.canonicalize(*p.as_tuple()))
+
+
+def test_every_orbit_image_is_the_same_screen():
+    # the 16 images (4 classical x Regge x the b <-> d exchange) carry the
+    # same exact U values, bit for bit; an image that exchanges b and d
+    # exchanges x and y with them, so its screen is the transpose
+    rng = random.Random(29)
+    for _ in range(100):
+        quad = random_valid_quadruple(rng, two_j_max=12).as_tuple()
+        values = ss.screen_oracle(ss.ScreenParams(*quad)).values
+        for image, _, _, swapped in ss.symmetry_orbit(*quad):
+            got = ss.screen_oracle(ss.ScreenParams(*image)).values
+            assert (got.T if swapped else got).tobytes() == values.tobytes(), \
+                (quad, image)
 
 
 def test_lattice_helpers(ref_params):
