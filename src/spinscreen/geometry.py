@@ -69,6 +69,12 @@ def _area_sq(a2, b2, c2):
     return (2 * (a2 * b2 + a2 * c2 + b2 * c2) - a2 * a2 - b2 * b2 - c2 * c2) / 16.0
 
 
+def _faces_sq_x(A2, B2, C2, D2, X2):
+    """The squared areas of the faces (A, B, X) and (C, D, X) at edge X,
+    from the squared edges, broadcasting (may be negative)."""
+    return _area_sq(A2, B2, X2), _area_sq(C2, D2, X2)
+
+
 def volume_sq(t: Tetrahedron):
     """Squared volume from the 5x5 Cayley-Menger determinant.
 
@@ -181,8 +187,7 @@ def _edge_angles(t: Tetrahedron, v):
     and the sine comes from the volume relation 3 V e / 2 = F1 F2 sin."""
     A2, B2, C2, D2 = t.A * t.A, t.B * t.B, t.C * t.C, t.D * t.D
     X2, Y2 = t.X * t.X, t.Y * t.Y
-    f_abx = _area_sq(A2, B2, X2)
-    f_cdx = _area_sq(C2, D2, X2)
+    f_abx, f_cdx = _faces_sq_x(A2, B2, C2, D2, X2)
     f_ady = _area_sq(A2, D2, Y2)
     f_bcy = _area_sq(B2, C2, Y2)
     table = (
@@ -206,8 +211,8 @@ def _cos_theta3(t: Tetrahedron):
     where a face at edge X degenerates."""
     A2, B2, C2, D2 = t.A * t.A, t.B * t.B, t.C * t.C, t.D * t.D
     X2 = t.X * t.X
-    faces = np.sqrt(np.maximum(_area_sq(A2, B2, X2), 0.0)
-                    * np.maximum(_area_sq(C2, D2, X2), 0.0))
+    f1sq, f2sq = _faces_sq_x(A2, B2, C2, D2, X2)
+    faces = np.sqrt(np.maximum(f1sq, 0.0) * np.maximum(f2sq, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         out = _edge_cos_num(X2, t.Y * t.Y, A2, B2, C2, D2) / (16.0 * faces)
     return np.where(np.isfinite(out), out, np.nan)
@@ -222,22 +227,15 @@ def cos_theta3(t: Tetrahedron):
     return c
 
 
-def _faces_sq_at_x(t: Tetrahedron):
-    """F1^2 F2^2, the squared areas of the two faces at edge X multiplied;
-    DegenerateFace unless both are positive."""
-    f1sq = _area_sq(t.X ** 2, t.A ** 2, t.B ** 2)
-    f2sq = _area_sq(t.X ** 2, t.C ** 2, t.D ** 2)
-    if f1sq <= 0 or f2sq <= 0:
-        raise DegenerateFace("face area vanishes at edge X")
-    return f1sq * f2sq
-
-
 def sin_theta3(t: Tetrahedron):
     """Sine at edge X from 3VX/2 = F F sin(theta3); nonnegative branch."""
     v2 = volume_sq(t)
     if v2 < 0:
         raise DegenerateFace("sin(theta3) undefined outside classical region")
-    return 1.5 * math.sqrt(v2) * t.X / math.sqrt(_faces_sq_at_x(t))
+    f1sq, f2sq = _faces_sq_x(t.A ** 2, t.B ** 2, t.C ** 2, t.D ** 2, t.X ** 2)
+    if f1sq <= 0 or f2sq <= 0:
+        raise DegenerateFace("face area vanishes at edge X")
+    return 1.5 * math.sqrt(v2) * t.X / math.sqrt(f1sq * f2sq)
 
 
 def cos_theta3_grid(params: ScreenParams):
@@ -340,8 +338,7 @@ def f_transform(u_row, params: ScreenParams, two_y):
     params.row_index(two_y)
     A, B, C, D = (edge_length(t) for t in params.as_tuple())
     X = edge_length(params.x_lattice())
-    f1sq = _area_sq(X * X, A * A, B * B)
-    f2sq = _area_sq(X * X, C * C, D * D)
+    f1sq, f2sq = _faces_sq_x(A * A, B * B, C * C, D * D, X * X)
     good = (f1sq > 0) & (f2sq > 0)
     out = np.full(len(X), np.nan)
     out[good] = (f1sq[good] * f2sq[good]) ** 0.25 / X[good] \

@@ -27,8 +27,6 @@ _SHIFT_NUDGE = 1e-13
 # screens whose row set-up is kept, least recently used dropped first; at
 # side 2001 a set-up holds about 96 kB of arrays
 _SETUP_CACHE = 8
-# the width, as a share of its side, from which _anchor sweeps a block
-_SWEEP_SHARE = 1 / 4
 # digits of the Decimal coefficients of a twisted screen (_twist_terms):
 # its tails are products of up to n pivot ratios, and a coefficient off by
 # an ulp biases each ratio the same way
@@ -112,43 +110,41 @@ def _sturm_parities(coeffs: TridiagCoeffs, lam, starts):
     return parities
 
 
-def _anchor(setup, lam, block):
+def _anchor(coeffs: TridiagCoeffs, lam, block):
     """Give each column j of block, in place, U's stretched-boundary sign
-    at lam[j]; setup is the screen's _RowSetup.
+    at lam[j], from one _sturm_parities sweep: O(n) numpy steps whatever
+    the width of block.
 
     The backward recursion from x_max, seeded with the stretched sign s,
     reads r[k-1] = s det(lam - T[k:, k:]) / prod(p_plus[k-1:n-1]) in closed
     form, and p_plus > 0 on the interior, so at a column's largest entry i
     the reference sign is s (-1)^m sign det(T[i+1:, i+1:] - lam), m = n-1-i.
-    A block of k < _SWEEP_SHARE n columns reads each sign from one LAPACK
-    dgttrf (U's diagonal signs times (-1)^(row swaps)), a wider one all
-    signs from one _sturm_parities sweep, O(n) per column whatever k is.
     """
     n, k = block.shape
-    sign = _stretched_sign(setup.coeffs.params)
-    if k < _SWEEP_SHARE * n:
-        for j in range(k):
-            col = block[:, j]
-            istar = int(np.abs(col).argmax())
-            m = parity = n - 1 - istar
-            if m > 0:
-                _, u_diag, _, _, ipiv = _shifted_lu(setup, istar + 1, lam[j],
-                                                    "trailing block")
-                parity += (np.count_nonzero(u_diag < 0)
-                           + np.count_nonzero(ipiv != setup.pivots[:m + 2]))
-            if col[istar] * sign * (-1) ** int(parity) < 0:
-                col *= -1.0
-        return
     istar = np.empty(k, dtype=np.intp)
     for j in range(0, k, _PANEL):
         istar[j:j + _PANEL] = np.argmax(np.abs(block[:, j:j + _PANEL]), axis=0)
-    parity = (n - 1 - istar) + _sturm_parities(setup.coeffs, lam, istar + 1)
-    block *= np.where(block[istar, np.arange(k)] * sign * (1 - 2 * (parity % 2))
-                      < 0, -1.0, 1.0)
+    parity = (n - 1 - istar) + _sturm_parities(coeffs, lam, istar + 1)
+    block *= np.where(block[istar, np.arange(k)] * _stretched_sign(coeffs.params)
+                      * (1 - 2 * (parity % 2)) < 0, -1.0, 1.0)
+
+
+def _anchor_row(setup, lam, row):
+    """_anchor for one row, with the sign of det(T[i+1:, i+1:] - lam) from
+    one LAPACK dgttrf: U's diagonal signs times (-1)^(row swaps)."""
+    istar = int(np.abs(row).argmax())
+    m = parity = len(row) - 1 - istar
+    if m > 0:
+        _, u_diag, _, _, ipiv = _shifted_lu(setup, istar + 1, lam,
+                                            "trailing block")
+        parity += (np.count_nonzero(u_diag < 0)
+                   + np.count_nonzero(ipiv != setup.pivots[:m + 2]))
+    if row[istar] * _stretched_sign(setup.coeffs.params) * (-1) ** int(parity) < 0:
+        row *= -1.0
 
 
 def screen_by_eigensolve(params: ScreenParams):
-    """Screen from diagonalizing the tridiagonal matrix of _row_setup.
+    """Screen from diagonalizing the tridiagonal matrix of tridiag_coeffs.
 
     Eigenvalues sorted ascending are assigned to ascending y (lambda is
     monotone); _anchor gives each eigenvector the exact sign of the
@@ -156,15 +152,14 @@ def screen_by_eigensolve(params: ScreenParams):
     the wall time of each stage in seconds.
     """
     laps = Laps()
-    setup = _row_setup(params)
-    coeffs = setup.coeffs
+    coeffs = tridiag_coeffs(params)
     laps.lap("coeffs")
     try:
         evals, values = scipy.linalg.eigh_tridiagonal(coeffs.w, coeffs.p_plus[:-1])
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as err:
         raise ConvergenceFailure(str(err)) from err
     laps.lap("eigh")
-    _anchor(setup, evals, values)
+    _anchor(coeffs, evals, values)
     laps.lap("anchor")
     spectrum_err = float(np.max(np.abs(evals - coeffs.lam)
                                 / np.maximum(np.abs(coeffs.lam), 1.0)))
@@ -182,7 +177,7 @@ def _start_vector(n):
 
 
 class _RowSetup(NamedTuple):
-    """What a screen's eigensolve and threeterm rows share, all read-only:
+    """What a screen's threeterm rows share, all read-only:
     its TridiagCoeffs, the off-diagonal p_plus[:-1] with _shifted_lu's two
     padding zeros (a trailing block's is a slice of it), dgttrf's pivots
     1..n+2 when no row is swapped and the padded start vector.  The shift
@@ -214,8 +209,9 @@ def _row_setup(params: ScreenParams):
 
 
 def _inverse_iteration(setup, iy):
-    """Row iy of U up to its sign, by inverse iteration from setup's start
-    vector, the shift nudged by coeffs.scale (see rows_by_threeterm)."""
+    """Row iy of U by inverse iteration from setup's start vector, the
+    shift nudged by coeffs.scale (see rows_by_threeterm), signed by
+    _anchor_row."""
     coeffs = setup.coeffs
     n = len(coeffs.w)
     shift = coeffs.lam[iy] + _SHIFT_NUDGE * coeffs.scale
@@ -227,6 +223,7 @@ def _inverse_iteration(setup, iy):
         head = row[:n]
         # the 2-norm as np.linalg.norm takes it, without its dispatch
         row /= math.sqrt(head @ head)
+    _anchor_row(setup, coeffs.lam[iy], head)
     return head
 
 
@@ -235,21 +232,24 @@ def _twist_terms(params: ScreenParams):
     """What the screen's twisted factorization reads, built once per
     screen, as tuples of doubles: T's off-diagonal p_plus correctly
     rounded, and its square; T's diagonal w as tridiag_coeffs rounds it,
-    and w_lo, what each w lacks of its exact value; and pivmin = tiny *
+    and w_lo, what each w lacks of its exact value; pivmin = tiny *
     max(1, max p_plus^2), the magnitude that replaces an exact zero pivot,
-    as in LAPACK dlarre.  p_plus and w_lo come from _decimal_terms at
+    as in LAPACK dlarre; and tridiag_coeffs' lambda, a read-only array.
+    p_plus and w_lo come from _decimal_terms at
     _TWIST_DIGITS.  tridiag_coeffs' p_plus is up to 1.8 ulp off: with it
     the forbidden points of side 201 come within 1.1e-14 relative of the
     oracle, against 6.6e-15.  w_lo makes w - lambda exact where the two
     cancel: without it the two_j <= 8 screens come within 1.0e-15 of the
     oracle, against 5.6e-16."""
-    w = tuple(_row_setup(params).coeffs.w.tolist())
+    coeffs = tridiag_coeffs(params)
+    coeffs.lam.setflags(write=False)
+    w = tuple(coeffs.w.tolist())
     with decimal.localcontext(decimal.Context(prec=_TWIST_DIGITS)):
         p_dec, w_dec, _ = _decimal_terms(params)
         p = tuple(float(v) for v in p_dec)
         w_lo = tuple(float(v - Decimal(h)) for v, h in zip(w_dec, w))
     p_sq = tuple(v * v for v in p)
-    return p, p_sq, w, w_lo, _SMALLEST_NORMAL * max(1.0, max(p_sq))
+    return p, p_sq, w, w_lo, _SMALLEST_NORMAL * max(1.0, max(p_sq)), coeffs.lam
 
 
 def _twisted_screen(params: ScreenParams, laps: Laps):
@@ -278,8 +278,7 @@ def _twisted_screen(params: ScreenParams, laps: Laps):
     to make the entry below the twist; so the ratios -p_k / D+_k are the
     only other array of the screen's size.
     """
-    lam = _row_setup(params).coeffs.lam
-    p, p_sq, w, w_lo, pivmin = _twist_terms(params)
+    p, p_sq, w, w_lo, pivmin, lam = _twist_terms(params)
     laps.lap("coeffs")
     n = len(w)
     values = np.empty((n, n))
@@ -347,24 +346,23 @@ def rows_by_threeterm(two_ys, params: ScreenParams):
     vector (dgttrs, O(n) each).  The shift is nudged off lambda(y) by
     _SHIFT_NUDGE times the spectral scale: integer coefficients otherwise
     make the shifted matrix exactly singular.  Each row has unit sum of
-    squares and the eigensolver's stretched-boundary sign, and is the same
-    whatever other rows the block holds.  The coefficients and start
-    vector are built once per screen and shared by every row and block of
-    it.  Every two_y is checked before any solve: one off the y lattice
-    raises OutOfRange.
+    squares and the eigensolver's stretched-boundary sign, from one more
+    dgttrf (_anchor_row), so a block is its rows side by side, whatever
+    its width.  The coefficients and start vector are built once per
+    screen and shared by every row and block of it.  Every two_y is
+    checked before any solve: one off the y lattice raises OutOfRange.
     """
     iys = [params.row_index(two_y) for two_y in two_ys]
     setup = _row_setup(params)
     block = np.empty((params.side, len(iys)))
     for k, iy in enumerate(iys):
         block[:, k] = _inverse_iteration(setup, iy)
-    _anchor(setup, setup.coeffs.lam[iys], block)
     return block
 
 
 def row_by_threeterm(two_y, params: ScreenParams):
-    """One row of U: the one-column rows_by_threeterm."""
-    return rows_by_threeterm((two_y,), params)[:, 0]
+    """One row of U, as rows_by_threeterm gives it."""
+    return _inverse_iteration(_row_setup(params), params.row_index(two_y))
 
 
 def screen_by_threeterm(params: ScreenParams):

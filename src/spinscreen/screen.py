@@ -16,9 +16,9 @@ ORTHONORMALITY_BOUND = 1e-10
 # the largest scaled three-term residual, along x or y, of an accepted screen:
 # 400x the worst correct screen measured, 1.6e5x below one flipped column
 RESIDUAL_BOUND = 1e-9
-# columns per panel of the three-term residual and the eigenvectors'
-# argmax, rows per panel of a twisted screen's underflow flush: two
-# side-2001 panels of doubles (1 MB) stay in cache
+# columns or x rows per panel of the three-term residual, columns per
+# panel of the eigenvectors' argmax, rows per panel of a twisted screen's
+# underflow flush: two side-2001 panels of doubles (1 MB) stay in cache
 _PANEL = 32
 
 
@@ -109,8 +109,9 @@ def residual_threeterm(screen: Screen):
     """The scaled residual: max over interior points of
     |p+ U(x+1) + (w - lambda) U(x) + p- U(x-1)| / TridiagCoeffs.scale.
 
-    The sum runs in panels of _PANEL columns through two buffers laid out
-    as U, in the order (p+ U(x+1) + (w - lambda) U(x)) + p- U(x-1): the
+    The sum runs in panels along U's contiguous axis, _PANEL columns of a
+    column-major U and _PANEL x rows otherwise, through two buffers laid
+    out as U, in the order (p+ U(x+1) + (w - lambda) U(x)) + p- U(x-1): the
     maximum is that of the whole (n-2, n) array, bit for bit, or NaN.
     """
     U = screen.values
@@ -118,21 +119,22 @@ def residual_threeterm(screen: Screen):
     if n < 3:
         return 0.0
     coeffs = tridiag_coeffs(screen.params)
-    p_next, w, p_prev = (coeffs.p_plus[1:-1, None], coeffs.w[1:-1, None],
-                         coeffs.p_plus[:-2, None])
-    acc = np.empty_like(U[1:-1, :_PANEL], dtype=float)
+    rows, cols = (n, _PANEL) if U.flags.f_contiguous else (_PANEL, n)
+    acc = np.empty_like(U[1:-1][:rows, :cols], dtype=float)
     term = np.empty_like(acc)
     peaks = []
-    for j in range(0, U.shape[1], _PANEL):
-        cols = U[:, j:j + _PANEL]
-        a, t = acc[:, :cols.shape[1]], term[:, :cols.shape[1]]
-        np.subtract(w, coeffs.lam[None, j:j + _PANEL], out=a)
-        np.multiply(a, cols[1:-1], out=a)
-        np.multiply(p_next, cols[2:], out=t)
-        np.add(t, a, out=a)
-        np.multiply(p_prev, cols[:-2], out=t)
-        np.add(a, t, out=a)
-        peaks.append(np.max(np.abs(a, out=a)))
+    for i in range(1, n - 1, rows):
+        x = slice(i, min(i + rows, n - 1))
+        for j in range(0, U.shape[1], cols):
+            u = U[i - 1:x.stop + 1, j:j + cols]
+            a, t = acc[:len(u) - 2, :u.shape[1]], term[:len(u) - 2, :u.shape[1]]
+            np.subtract(coeffs.w[x, None], coeffs.lam[None, j:j + cols], out=a)
+            np.multiply(a, u[1:-1], out=a)
+            np.multiply(coeffs.p_plus[x, None], u[2:], out=t)
+            np.add(t, a, out=a)
+            np.multiply(coeffs.p_plus[i - 1:x.stop - 1, None], u[:-2], out=t)
+            np.add(a, t, out=a)
+            peaks.append(np.max(np.abs(a, out=a)))
     return float(np.max(peaks)) / coeffs.scale
 
 

@@ -162,18 +162,19 @@ def _anchor_screens():
     yield ss.screen_ranges(600, 900, 1200, 1100)
 
 
-# _anchor's parity source by name: one LU per column for every block, or
-# one Sturm sweep for every block
-_SOURCES = {"lu": np.inf, "sweep": 0.0}
-
-
-def _anchored(source, coeffs, lam, block):
-    """A copy of block anchored by _anchor at lam, with the parities of
-    its trailing determinants read from source."""
+def _swept(coeffs, lam, block):
+    """A copy of block anchored at lam by one Sturm sweep (_anchor)."""
     out = block.copy()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(recursion, "_SWEEP_SHARE", _SOURCES[source])
-        recursion._anchor(recursion._setup_of(coeffs), lam, out)
+    recursion._anchor(coeffs, lam, out)
+    return out
+
+
+def _lu_anchored(coeffs, lam, block):
+    """A copy of block anchored at lam by one LU per column (_anchor_row)."""
+    out = block.copy()
+    setup = recursion._setup_of(coeffs)
+    for j in range(out.shape[1]):
+        recursion._anchor_row(setup, lam[j], out[:, j])
     return out
 
 
@@ -188,14 +189,16 @@ def test_anchor_sign_matches_backward_recursion():
             continue
         evals, vecs = scipy.linalg.eigh_tridiagonal(coeffs.w, coeffs.p_plus[:-1])
         vecs *= rng.choice((-1.0, 1.0), size=p.side)
-        anchored = _anchored("lu", coeffs, evals, vecs)
+        # the rows' rule, one LU per column, and the eigensolver's sweep
+        lu, swept = _lu_anchored(coeffs, evals, vecs), _swept(coeffs, evals, vecs)
         for iy in range(p.side):
             vec = vecs[:, iy]
             istar = int(np.argmax(np.abs(vec)))
-            factor = anchored[istar, iy] / vec[istar]
+            factor = lu[istar, iy] / vec[istar]
             ref = _backward_reference_sign(coeffs, evals[iy], istar)
             assert factor == (-1.0 if vec[istar] * ref < 0 else 1.0), (p, iy)
-            assert np.array_equal(anchored[:, iy], factor * vec), (p, iy)
+            assert np.array_equal(lu[:, iy], factor * vec), (p, iy)
+            assert np.array_equal(swept[:, iy], factor * vec), (p, iy)
             factors[factor] += 1
             m = p.side - 1 - istar
             if m in orders and p.side == 601:
@@ -223,21 +226,21 @@ def _singular_block_coeffs():
         w=np.zeros(4), lam=np.zeros(4))
 
 
-def _raises_on_the_singular_block(source):
+def _raises_on_the_singular_block(anchored):
     # every column's largest entry is its first, so its block is T[1:, 1:]
     values = np.zeros((4, 4))
     values[0] = 1.0
     with pytest.raises(ss.ConvergenceFailure,
                        match=r"trailing block: T\[1:, 1:\] - 0.0 is singular"):
-        _anchored(source, _singular_block_coeffs(), np.zeros(4), values)
+        anchored(_singular_block_coeffs(), np.zeros(4), values)
 
 
 def test_anchor_singular_trailing_block_raises():
-    _raises_on_the_singular_block("lu")
+    _raises_on_the_singular_block(_lu_anchored)
 
 
 def test_sturm_sweep_singular_trailing_block_raises():
-    _raises_on_the_singular_block("sweep")
+    _raises_on_the_singular_block(_swept)
 
 
 def test_sturm_sweep_counts_a_negative_zero_ratio():
@@ -267,8 +270,8 @@ def test_sturm_sweep_matches_the_lu_anchor_on_every_column():
         coeffs = tridiag_coeffs(p)
         evals, vecs = scipy.linalg.eigh_tridiagonal(coeffs.w, coeffs.p_plus[:-1])
         vecs *= rng.choice((-1.0, 1.0), size=p.side)
-        sweep = _anchored("sweep", coeffs, evals, vecs)
-        assert np.array_equal(sweep, _anchored("lu", coeffs, evals, vecs)), p
+        sweep = _swept(coeffs, evals, vecs)
+        assert np.array_equal(sweep, _lu_anchored(coeffs, evals, vecs)), p
         flips += np.count_nonzero(np.any(sweep != vecs, axis=0))
     assert flips > 0
 
@@ -303,8 +306,8 @@ def test_eigensolve_sweep_through_a_zero_ratio_is_silent(monkeypatch, quad):
     monkeypatch.undo()
     assert np.array_equal(screen.values, ss.screen_by_eigensolve(p).values)
     raw = eigh(coeffs.w, coeffs.p_plus[:-1])[1]
-    assert np.array_equal(_anchored("sweep", coeffs, coeffs.lam, raw),
-                          _anchored("lu", coeffs, coeffs.lam, raw))
+    assert np.array_equal(_swept(coeffs, coeffs.lam, raw),
+                          _lu_anchored(coeffs, coeffs.lam, raw))
 
 
 def test_stage_timings(ref_params):
@@ -378,8 +381,7 @@ def _banded_row(coeffs, iy):
     for _ in range(recursion._SOLVES):
         row = scipy.linalg.solve_banded((1, 1), band, row)
         row /= np.linalg.norm(row)
-    recursion._anchor(recursion._setup_of(coeffs), coeffs.lam[iy:iy + 1],
-                      row[:, None])
+    recursion._anchor_row(recursion._setup_of(coeffs), coeffs.lam[iy], row)
     return row
 
 
@@ -450,18 +452,14 @@ def test_row_then_screen_equals_screen_then_row():
         <= ROWS_VS_SCREEN
 
 
-def test_threeterm_screen_is_its_rows_one_at_a_time(monkeypatch):
-    # every row block is anchored by one sweep and a single row by one LU:
-    # above side 4 with the default share, and above side 1 with a share
-    # of 1; the block is its rows bit for bit, and the screen, by the
-    # twisted sweep, is its rows to rounding
-    monkeypatch.setattr(recursion, "_SWEEP_SHARE", 1.0)
+def test_threeterm_screen_is_its_rows_one_at_a_time():
+    # two algorithms: the screen by the twisted sweep and its sign count,
+    # the rows by inverse iteration and one LU each for the sign; they
+    # agree to rounding on every screen
     screens = [p for p in _anchor_screens() if p.side != 61]
     assert screens[-1].side == 601
     for p in screens:
-        rows = np.column_stack([ss.row_by_threeterm(int(two_y), p)
-                                for two_y in p.y_lattice()])
-        assert np.array_equal(ss.rows_by_threeterm(p.y_lattice(), p), rows), p
+        rows = ss.rows_by_threeterm(p.y_lattice(), p)
         assert np.max(np.abs(ss.screen_by_threeterm(p).values - rows)) \
             <= ROWS_VS_SCREEN, p
 
@@ -625,19 +623,19 @@ def test_threeterm_forbidden_points_at_side_201():
 
 @pytest.mark.parametrize("quad", [(60, 90, 120, 110), (200, 300, 400, 366)])
 def test_threeterm_rows_agree_with_the_screen(quad):
-    # two algorithms: rows and blocks of any width by inverse iteration, a
-    # screen by the twisted sweep; a block just under _SWEEP_SHARE n rows
-    # is anchored by one LU per row, one just over it by one sweep
+    # a block of any width is its single rows bit for bit, at widths about
+    # a quarter and a half of the side among them, and the rows are the
+    # twisted screen to rounding
     p = ss.screen_ranges(*quad)
-    screen = ss.screen_by_threeterm(p).values
+    n = p.side
     rows = np.column_stack([ss.row_by_threeterm(two_y, p)
                             for two_y in p.y_lattice()])
-    assert np.max(np.abs(rows - screen)) <= ROWS_VS_SCREEN
-    wide = math.ceil(recursion._SWEEP_SHARE * p.side)
-    iys = np.random.default_rng(p.side).permutation(p.side)[:wide]
-    for block_iys in (iys[:-1], iys):
-        block = ss.rows_by_threeterm(p.y_lattice()[block_iys], p)
-        assert np.array_equal(block, rows[:, block_iys])
+    assert np.max(np.abs(rows - ss.screen_by_threeterm(p).values)) \
+        <= ROWS_VS_SCREEN
+    iys = np.random.default_rng(n).permutation(n)
+    for width in (0, 1, math.ceil(n / 4) - 1, math.ceil(n / 4), n // 2, n):
+        block = ss.rows_by_threeterm(p.y_lattice()[iys[:width]], p)
+        assert np.array_equal(block, rows[:, iys[:width]]), width
 
 
 @pytest.mark.slow
@@ -959,10 +957,12 @@ def _dense_residual(values, coeffs):
     return float(np.max(np.abs(res))) / coeffs.scale
 
 
-# sides 1, 2, 3, 65 (one past two panels) and 601, in the eigensolver's
-# column-major layout and row-major
+# sides 1, 2, 3, 65 (one column past two panels), 601 and 67 (one interior
+# x row past two panels), in the eigensolver's column-major layout, in
+# panels of columns, and row-major, in panels of x rows
 @pytest.mark.parametrize("quad", [(0, 8, 8, 8), (1, 1, 1, 1), (2, 2, 2, 2),
-                                  (64, 64, 64, 64), (600, 900, 1200, 1100)])
+                                  (64, 64, 64, 64), (600, 900, 1200, 1100),
+                                  (66, 66, 66, 66)])
 def test_residual_panels_equal_the_dense_formula(quad):
     p = ss.screen_ranges(*quad)
     coeffs = tridiag_coeffs(p)
@@ -997,6 +997,25 @@ def gate_screens():
 def _refinished(screen, values):
     return finish(ss.Screen(params=screen.params, values=values,
                             method=screen.method), Laps())
+
+
+@pytest.mark.parametrize("quad", [(60, 90, 120, 110), (600, 900, 1200, 1100)])
+@pytest.mark.parametrize("method", ["eigensolve", "threeterm"])
+def test_both_residuals_are_the_same_in_either_layout(gate_screens, method,
+                                                      quad):
+    # each layout runs its own panels; a NaN shows in both
+    screen = gate_screens(method, quad)
+    n = screen.params.side
+    cases = [screen.values]
+    for at in ((30, 40), (n - 2, n - 1)):
+        cases.append(screen.values.copy())
+        cases[-1][at] = np.nan
+    for values in cases:
+        found = [_refinished(screen, layout(values)).diagnostics
+                 for layout in (np.asfortranarray, np.ascontiguousarray)]
+        for key in ("residual_max", "residual_y_max"):
+            assert np.array_equal(found[0][key], found[1][key], equal_nan=True)
+            assert np.isnan(found[0][key]) == (values is not cases[0]), key
 
 
 @pytest.mark.parametrize("quad", [(1000, 1000, 1000, 1000),
