@@ -2,8 +2,8 @@
 
 Values are kept as SqrtRational numbers q*sqrt(p) (q rational, p a square-free
 nonnegative integer) so that equality, products and same-radicand sums are
-exact.  The single sum runs in exact integers, one term from the next by
-their term ratio; nothing is rounded before an explicit conversion to float.
+exact.  The single sum runs in exact integers, nested from its last term
+ratio inward; nothing is rounded before an explicit conversion to float.
 """
 
 import itertools
@@ -19,7 +19,7 @@ from .spins import ScreenParams, triad_ok
 
 # the largest two_kappa of an oracle screen the command line and verify
 # build: its single sums grow quadratically in the side, and a side-201
-# screen (two_kappa 400) takes about 8 s
+# screen (two_kappa 400) takes about 4 s
 ORACLE_KAPPA2_CAP = 400
 
 
@@ -44,7 +44,8 @@ def _signed_sqrt_ratio(num, den, negative):
 
 
 # squarefree_split divides by the primes below this, read from one sieve
-# built on first use, then by the odd numbers past it
+# built on first use, then by the odd numbers past it; _delta_parts reads
+# the same primes
 _SIEVE_LIMIT = 1 << 16
 
 
@@ -93,15 +94,34 @@ def _inverse_delta_sq(ta, tb, tc):
 
 @lru_cache(maxsize=1 << 16)
 def _delta_parts(ta, tb, tc):
-    """Delta of an admissible triad as (k, s): Delta = k*sqrt(s) with k a
-    positive Fraction and s square-free, a unique normal form.
+    """Delta of an admissible triad as (d, s): Delta = sqrt(s) / d with s
+    square-free and d = m s a positive integer, a unique normal form.
 
-    1/Delta^2 = s m^2 by squarefree_split, so Delta = sqrt(s) / (m s); its
-    trial division stops by (a+b+c)/2 + 1, past every prime factor.  Cached
-    per triad: screens reuse each triad once per row or column.
+    1/Delta^2 = n! / (p! q! r!) = s m^2 with n = p + q + r + 1.  Below
+    _SIEVE_LIMIT each prime's exponent in it is the difference of the four
+    factorials' exponents by Legendre's formula, sum_k floor(n / prime^k),
+    so no big quotient is formed; past it, squarefree_split divides.
+    Cached per triad: screens reuse each triad once per row or column.
     """
-    s, m = squarefree_split(_inverse_delta_sq(ta, tb, tc))
-    return Fraction(1, m * s), s
+    p, q = (ta + tb - tc) // 2, (ta - tb + tc) // 2
+    n = (ta + tb + tc) // 2 + 1
+    r = n - 1 - p - q
+    if n >= _SIEVE_LIMIT:
+        s, m = squarefree_split(_inverse_delta_sq(ta, tb, tc))
+        return m * s, s
+    s = m = 1
+    for prime in _small_primes():
+        if prime > n:
+            break
+        e, power = 0, prime
+        while power <= n:
+            e += n // power - p // power - q // power - r // power
+            power *= prime
+        if e > 1:
+            m *= prime ** (e // 2)
+        if e % 2:
+            s *= prime
+    return m * s, s
 
 
 class SqrtRational:
@@ -222,9 +242,13 @@ def _racah_sum(tj1, tj2, tj3, tj4, tj5, tj6):
 
     Sum over t of (-1)^t (t+1)! / (prod_s (t-s)! prod_b (b-t)!), with s the
     four triad sums and b the three box sums, over the common denominator
-    prod_s (t_hi-s)! prod_b (b-t_lo)!.  Every term is then an integer, so
-    each term follows from the one before by the exact term ratio
-    (t+2) prod_b (b-t) / prod_s (t+1-s).
+    prod_s (t_hi-s)! prod_b (b-t_lo)!, so that every term is an integer.
+    With the term ratio n_t / d_t = (t+2) prod_b (b-t) / prod_s (t+1-s),
+    the alternating sum is term(t_lo) (1 - r(t_lo) (1 - r(t_lo+1) (...))),
+    nested from the last ratio inward as p/q -> (q d_t - n_t p) / (q d_t):
+    each step multiplies by small integers only, and no step divides.  q
+    ends as prod_s (t_hi-s)! / (t_lo-s)!, which is term(t_lo) / (t_lo+1)!,
+    so the total is (t_lo+1)! p exactly.
     """
     tri = [(a + b + c) // 2
            for a, b, c in _triads(tj1, tj2, tj3, tj4, tj5, tj6)]
@@ -234,19 +258,34 @@ def _racah_sum(tj1, tj2, tj3, tj4, tj5, tj6):
     t_hi = min(box)
     s1, s2, s3, s4 = tri
     b1, b2, b3 = box
-    term = factorial(t_lo + 1)
+    p = q = 1
+    for t in range(t_hi - 1, t_lo - 1, -1):
+        q *= (t + 1 - s1) * (t + 1 - s2) * (t + 1 - s3) * (t + 1 - s4)
+        p = q - (t + 2) * (b1 - t) * (b2 - t) * (b3 - t) * p
     denominator = 1
     for s in tri:
-        term *= factorial(t_hi - s) // factorial(t_lo - s)
         denominator *= factorial(t_hi - s)
     for b in box:
         denominator *= factorial(b - t_lo)
-    total = term
-    for t in range(t_lo, t_hi):
-        term = (term * ((t + 2) * (b1 - t) * (b2 - t) * (b3 - t))
-                // ((t + 1 - s1) * (t + 1 - s2) * (t + 1 - s3) * (t + 1 - s4)))
-        total += -term if (t - t_lo) % 2 == 0 else term
+    total = factorial(t_lo + 1) * p
     return (-total if t_lo % 2 else total), denominator
+
+
+def _normal_form(total, denominator, triads, radicand=1):
+    """total/denominator sqrt(radicand) times the triangle coefficients of
+    the triads, as a SqrtRational: the radicands fold into one square-free
+    s and the rational part into one integer numerator and denominator,
+    reduced once."""
+    if total == 0:
+        return SqrtRational.zero()
+    s, numerator = squarefree_split(radicand)
+    for triad in triads:
+        d, s_t = _delta_parts(*triad)
+        g = math.gcd(s, s_t)
+        numerator *= g
+        denominator *= d
+        s = (s // g) * (s_t // g)
+    return SqrtRational._raw(Fraction(total * numerator, denominator), s)
 
 
 def sixj_exact(tj1, tj2, tj3, tj4, tj5, tj6):
@@ -260,26 +299,16 @@ def sixj_exact(tj1, tj2, tj3, tj4, tj5, tj6):
     triads = _triads(*args)
     if not all(triad_ok(*t) for t in triads):
         return SqrtRational.zero()
-    total, denom = _racah_sum(*args)
-    if total == 0:
-        return SqrtRational.zero()
-    # radicand = product of the four triangle-coefficient squares
-    k = Fraction(total, denom)
-    s = 1
-    for triad in triads:
-        k_t, s_t = _delta_parts(*triad)
-        g = math.gcd(s, s_t)
-        k *= k_t * g
-        s = (s // g) * (s_t // g)
-    return SqrtRational._raw(k, s)
+    return _normal_form(*_racah_sum(*args), triads)
 
 
 def u_exact(two_x, two_y, params: ScreenParams):
     """Exact U(x,y) = sqrt((2x+1)(2y+1)) {a b x; c d y} on the screen."""
     params.point_index(two_x, two_y)
-    sixj = sixj_exact(params.two_a, params.two_b, two_x,
-                      params.two_c, params.two_d, two_y)
-    return sixj * SqrtRational(1, (two_x + 1) * (two_y + 1))
+    args = (params.two_a, params.two_b, two_x,
+            params.two_c, params.two_d, two_y)
+    return _normal_form(*_racah_sum(*args), _triads(*args),
+                        (two_x + 1) * (two_y + 1))
 
 
 # --- closed forms for 6j symbols with a unit entry -----------------------

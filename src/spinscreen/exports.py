@@ -2,9 +2,9 @@
 
 Doubles are written with 17 significant digits so re-reading reproduces the
 in-memory values exactly; non-finite values are written as nan.  No file
-carries timestamps or other run-varying content.  CSV tables are formatted
-and written one y row at a time; a JSON grid's rows are all formatted, one
-string per cell, before json.dump writes them: a whole-grid copy as text.
+carries timestamps or other run-varying content.  CSV tables and JSON
+grids are formatted and written one row at a time, so no whole-grid copy
+as text is ever held.
 """
 
 import json
@@ -22,13 +22,8 @@ def _finite(values):
     return np.where(np.isfinite(values), values, np.nan)
 
 
-def _text(grid):
-    """The rows of a 2-D grid as lists of %.17g strings, all held at once."""
-    return [list(map("%.17g".__mod__, _finite(row).tolist())) for row in grid]
-
-
 def _pairs(xs, ys):
-    return _text(np.column_stack([xs, ys]))
+    return np.column_stack([xs, ys])
 
 
 def _meta(params: ScreenParams, method=None):
@@ -61,10 +56,29 @@ def _write_table(path, params: ScreenParams, meta, columns):
                               zip(two_x, [ty] * len(two_x), *cells)))
 
 
+def _write_grid(fh, grid):
+    """A 2-D grid, at least one row by one column as every lattice grid is,
+    as json.dump(..., indent=1) writes a top-level value that is a list of
+    rows of %.17g strings, formatted one row per % call."""
+    row_format = "  [\n%s\n  ]" % ",\n".join(['   "%.17g"'] * grid.shape[1])
+    fh.write("[\n")
+    for i, row in enumerate(grid):
+        fh.write((",\n" if i else "") + row_format % tuple(_finite(row).tolist()))
+    fh.write("\n ]")
+
+
 def _write_json(payload, path):
+    """payload as json.dump(payload, indent=1, sort_keys=True) writes it,
+    with each 2-D array value written as a grid by _write_grid."""
+    grids = sorted(k for k, v in payload.items() if isinstance(v, np.ndarray))
+    text = json.dumps(dict(payload, **{k: "\0" + k for k in grids}),
+                      indent=1, sort_keys=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        for key in grids:
+            head, _, text = text.partition(json.dumps("\0" + key))
+            fh.write(head)
+            _write_grid(fh, payload[key])
+        fh.write(text + "\n")
 
 
 def write_screen_csv(screen: Screen, path):
@@ -80,7 +94,7 @@ def write_screen_json(screen: Screen, path):
         "two_x": params.x_lattice().tolist(),
         "two_y": params.y_lattice().tolist(),
         # u[iy][ix], same y-major order as the CSV
-        "u": _text(screen.values.T),
+        "u": screen.values.T,
     }, path)
 
 
@@ -144,7 +158,7 @@ def write_field_csv(params: ScreenParams, grid, column, path):
 
 def write_field_json(params: ScreenParams, grid, column, path):
     """A lattice-indexed scalar field as {column: [iy][ix]}, y-major."""
-    _write_json({"metadata": _meta(params), column: _text(grid.T)}, path)
+    _write_json({"metadata": _meta(params), column: grid.T}, path)
 
 
 def write_pr_compare_csv(comparison, path):

@@ -305,9 +305,10 @@ _PRIMES = [p for p in range(2, 6002)
 
 
 def _check_delta_parts(triad):
-    k, s = exact._delta_parts(*triad)
-    assert k > 0, triad
-    assert k * k * s * exact._inverse_delta_sq(*triad) == 1, triad
+    # Delta = sqrt(s) / d, so 1/Delta^2 = d^2 / s
+    d, s = exact._delta_parts(*triad)
+    assert d > 0, triad
+    assert d * d == s * exact._inverse_delta_sq(*triad), triad
     # s square-free: every prime factor of 1/Delta^2 is at most sum/2 + 1
     bound = sum(triad) // 2 + 1
     assert all(s % (p * p) for p in _PRIMES if p <= bound), triad
@@ -326,6 +327,137 @@ def test_delta_parts_normal_form_on_random_large_triads():
         ta, tb = rng.randint(0, 4000), rng.randint(0, 4000)
         tc = rng.randrange(abs(ta - tb), min(ta + tb, 4000) + 1, 2)
         _check_delta_parts((ta, tb, tc))
+
+
+def _split_delta_parts(triad):
+    """(d, s) of Delta = sqrt(s) / d from the trial division of 1/Delta^2."""
+    s, m = exact.squarefree_split(exact._inverse_delta_sq(*triad))
+    return m * s, s
+
+
+def test_delta_parts_by_legendre_equals_the_trial_division():
+    rng = random.Random(29)
+    triads = []
+    for top in (40, 400, 4000):
+        for _ in range(60):
+            ta, tb = rng.randint(0, top), rng.randint(0, top)
+            triads.append(
+                (ta, tb, rng.randrange(abs(ta - tb), min(ta + tb, top) + 1, 2)))
+    for triad in triads:
+        assert exact._delta_parts.__wrapped__(*triad) == \
+            _split_delta_parts(triad), triad
+
+
+@pytest.mark.parametrize("triad", [
+    (43690, 43690, 43688),  # (a+b+c)/2 + 1 = _SIEVE_LIMIT - 1, by Legendre
+    (43690, 43690, 43690),  # (a+b+c)/2 + 1 = _SIEVE_LIMIT, by trial division
+    (43690, 43690, 43692),  # (a+b+c)/2 + 1 = 65537, a prime past the sieve
+    (65533, 65533, 2), (65534, 65534, 2), (65535, 65535, 0)])
+def test_delta_parts_on_both_sides_of_the_sieve_limit(triad):
+    assert exact._SIEVE_LIMIT == 1 << 16
+    assert exact._delta_parts.__wrapped__(*triad) == _split_delta_parts(triad)
+
+
+# --- the Racah sum against an independent plain-factorial sum -------------
+
+def _plain_racah_sum(tjs):
+    """(total, denominator, terms) of the Racah sum, term by term from
+    math.factorial over the same common denominator as _racah_sum, with no
+    term ratio."""
+    tj1, tj2, tj3, tj4, tj5, tj6 = tjs
+    tri = [(a + b + c) // 2 for a, b, c in exact._triads(*tjs)]
+    box = [(tj1 + tj2 + tj4 + tj5) // 2, (tj2 + tj3 + tj5 + tj6) // 2,
+           (tj1 + tj3 + tj4 + tj6) // 2]
+    t_lo, t_hi = max(tri), min(box)
+    denominator = math.prod(math.factorial(t_hi - s) for s in tri) \
+        * math.prod(math.factorial(b - t_lo) for b in box)
+    total = 0
+    for t in range(t_lo, t_hi + 1):
+        term_den = math.prod(math.factorial(t - s) for s in tri) \
+            * math.prod(math.factorial(b - t) for b in box)
+        term, rest = divmod(denominator * math.factorial(t + 1), term_den)
+        assert rest == 0, (tjs, t)
+        total += -term if t % 2 else term
+    return total, denominator, t_hi - t_lo + 1
+
+
+def test_racah_sum_is_the_plain_sum_on_every_small_tuple():
+    checked = zeros = single = 0
+    for tjs in itertools.product(range(9), repeat=6):
+        if all(triad_ok(*t) for t in exact._triads(*tjs)):
+            total, denominator, terms = _plain_racah_sum(tjs)
+            assert _racah_sum(*tjs) == (total, denominator), tjs
+            checked += 1
+            zeros += total == 0
+            single += terms == 1
+    assert (checked, zeros, single) == (13691, 94, 10273)
+
+
+def _seeded_points(quad, count, seed):
+    """`count` seeded points of the screen, then its four corners and one
+    mid-point of each edge."""
+    p = ss.screen_ranges(*quad)
+    xs, ys = [int(v) for v in p.x_lattice()], [int(v) for v in p.y_lattice()]
+    rng = random.Random(seed)
+    points = [(rng.choice(xs), rng.choice(ys)) for _ in range(count)]
+    mx, my = xs[len(xs) // 2], ys[len(ys) // 2]
+    points += [(xs[0], ys[0]), (xs[0], ys[-1]), (xs[-1], ys[0]),
+               (xs[-1], ys[-1]), (xs[0], my), (xs[-1], my), (mx, ys[0]),
+               (mx, ys[-1])]
+    return p, points
+
+
+def _check_racah_sums(quad, count, seed):
+    ta, tb, tc, td = quad
+    _, points = _seeded_points(quad, count, seed)
+    for i, (tx, ty) in enumerate(points):
+        tjs = (ta, tb, tx, tc, td, ty)
+        total, denominator, terms = _plain_racah_sum(tjs)
+        assert _racah_sum(*tjs) == (total, denominator), tjs
+        # each edge has one degenerate triad, so one term
+        assert terms == 1 or i < count, tjs
+
+
+@pytest.mark.parametrize("quad, count", [((200, 300, 400, 366), 24),
+                                         ((600, 900, 1200, 1100), 6)])
+def test_racah_sum_is_the_plain_sum_at_large_sides(quad, count):
+    _check_racah_sums(quad, count, seed=sum(quad))
+
+
+@pytest.mark.slow
+def test_racah_sum_is_the_plain_sum_at_side_2001():
+    _check_racah_sums((2000, 3000, 4000, 3666), 2, seed=2001)
+
+
+def _u_by_the_sixj(tx, ty, p):
+    """u_exact's value as the SqrtRational product of its 6j and root."""
+    return ss.sixj_exact(p.two_a, p.two_b, tx, p.two_c, p.two_d, ty) \
+        * SqrtRational(1, (tx + 1) * (ty + 1))
+
+
+def test_u_exact_is_its_sixj_times_the_root_on_every_small_screen():
+    checked = zeros = 0
+    for quad in itertools.product(range(9), repeat=4):
+        try:
+            p = ss.screen_ranges(*quad)
+        except ss.EmptyScreen:
+            continue
+        for tx in p.x_lattice().tolist():
+            for ty in p.y_lattice().tolist():
+                value = ss.u_exact(tx, ty, p)
+                # equal normal forms: the same q and the same p
+                assert value == _u_by_the_sixj(tx, ty, p), (quad, tx, ty)
+                checked += 1
+                zeros += value.is_zero()
+    assert (checked, zeros) == (21165, 114)
+
+
+@pytest.mark.parametrize("quad, count", [((200, 300, 400, 366), 40),
+                                         ((600, 900, 1200, 1100), 10)])
+def test_u_exact_is_its_sixj_times_the_root_at_large_sides(quad, count):
+    p, points = _seeded_points(quad, count, seed=sum(quad))
+    for tx, ty in points:
+        assert ss.u_exact(tx, ty, p) == _u_by_the_sixj(tx, ty, p), (tx, ty)
 
 
 def test_concurrent_evaluation():

@@ -7,6 +7,7 @@ import numpy as np
 
 import spinscreen as ss
 from spinscreen import exports
+from spinscreen.geometry import CausticData
 from spinscreen.screen import Screen
 from spinscreen.semiclassics import PRComparison
 
@@ -72,6 +73,64 @@ def test_screen_json_edge_values(tmp_path):
   [
    "nan",
    "4.9406564584124654e-324"
+  ]
+ ]
+}
+""" % ss.__version__
+
+
+def test_ridges_json_writes_every_grid_in_its_place(tmp_path):
+    # three [X, Y] grids in one file, each after its sorted key
+    caustics = CausticData(
+        params=PARAMS, x_samples=np.array([0.5, 1.5]),
+        y_ridge=np.array([NAN, 2 / 3]), v_max=np.array([INF, -0.0]),
+        y_caustic_lower=np.array([NAN, NAN]),
+        y_caustic_upper=np.array([NAN, NAN]), y_samples=np.array([1.5, 3.5]),
+        x_ridge=np.array([5e-324, 1e300]))
+    path = tmp_path / "ridges.json"
+    exports.write_ridges_json(caustics, str(path))
+    assert path.read_text() == """{
+ "metadata": {
+  "coordinates": "shifted",
+  "kappa2": 2,
+  "tool_version": "%s",
+  "two_a": 1,
+  "two_b": 1,
+  "two_c": 2,
+  "two_d": 2,
+  "two_x_max": 2,
+  "two_x_min": 0,
+  "two_y_max": 3,
+  "two_y_min": 1
+ },
+ "ridge_x_of_y": [
+  [
+   "4.9406564584124654e-324",
+   "1.5"
+  ],
+  [
+   "1.0000000000000001e+300",
+   "3.5"
+  ]
+ ],
+ "ridge_y_of_x": [
+  [
+   "0.5",
+   "nan"
+  ],
+  [
+   "1.5",
+   "0.66666666666666663"
+  ]
+ ],
+ "v_max": [
+  [
+   "0.5",
+   "nan"
+  ],
+  [
+   "1.5",
+   "-0"
   ]
  ]
 }
