@@ -5,8 +5,8 @@ from .errors import (CausticProximityWarning, ConvergenceFailure,
                      DegenerateFace, EmptyScreen, NegativeRadicand,
                      NoClassicalWindow, OutOfRange, OutsideDomain, ParityError,
                      PatternError, SpinScreenError, ZeroPivot)
-from .exact import (SqrtRational, factorial, screen_oracle, sixj_exact,
-                    sixj_unit, sixj_zero_entry, u_exact)
+from .exact import (SqrtRational, screen_oracle, sixj_exact, sixj_unit,
+                    sixj_zero_entry, u_exact)
 from .geometry import (CausticData, GeometricCoeffs, PotentialCurves,
                        Tetrahedron, cos_theta3, cos_theta3_grid, edge_length,
                        f_residual, f_transform, geometric_coeffs, heron_area,

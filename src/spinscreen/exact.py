@@ -19,13 +19,8 @@ from .spins import ScreenParams, triad_ok
 
 # the largest two_kappa of an oracle screen the command line and verify
 # build: its single sums grow quadratically in the side, and a side-201
-# screen (two_kappa 400) takes about 4 s
+# screen (two_kappa 400) takes 2-2.6 s
 ORACLE_KAPPA2_CAP = 400
-
-
-# n! for n >= 0, cached: the single sums read the same few hundred
-# factorials again and again; a negative n raises ValueError
-factorial = lru_cache(maxsize=None)(math.factorial)
 
 
 def _signed_sqrt_ratio(num, den, negative):
@@ -238,17 +233,18 @@ def _triads(tj1, tj2, tj3, tj4, tj5, tj6):
 
 
 def _racah_sum(tj1, tj2, tj3, tj4, tj5, tj6):
-    """The Racah single sum of an admissible 6j as (total, denominator).
+    """The Racah single sum of an admissible 6j, a signed integer N.
 
     Sum over t of (-1)^t (t+1)! / (prod_s (t-s)! prod_b (b-t)!), with s the
-    four triad sums and b the three box sums, over the common denominator
-    prod_s (t_hi-s)! prod_b (b-t_lo)!, so that every term is an integer.
-    With the term ratio n_t / d_t = (t+2) prod_b (b-t) / prod_s (t+1-s),
-    the alternating sum is term(t_lo) (1 - r(t_lo) (1 - r(t_lo+1) (...))),
-    nested from the last ratio inward as p/q -> (q d_t - n_t p) / (q d_t):
-    each step multiplies by small integers only, and no step divides.  q
-    ends as prod_s (t_hi-s)! / (t_lo-s)!, which is term(t_lo) / (t_lo+1)!,
-    so the total is (t_lo+1)! p exactly.
+    four triad sums and b the three box sums; the seven factorial arguments
+    add up to t, so each term is an integer.  With the term ratio n_t / d_t
+    = (t+2) prod_b (b-t) / prod_s (t+1-s), the sum is term(t_lo) (1 - r(t_lo)
+    (1 - r(t_lo+1) (...))), nested from the last ratio inward as p/q ->
+    (q d_t - n_t p) / (q d_t) in small-integer steps, and N = term(t_lo) p/q
+    is one exact division: 900-1500 bits at side 201, where the terms'
+    common denominator has 2600-5100.  math.comb builds term(t_lo) within
+    10% of a quotient of factorials up to side 201, 1.5-2.3 times faster at
+    sides 601 and 2001.
     """
     tri = [(a + b + c) // 2
            for a, b, c in _triads(tj1, tj2, tj3, tj4, tj5, tj6)]
@@ -262,23 +258,25 @@ def _racah_sum(tj1, tj2, tj3, tj4, tj5, tj6):
     for t in range(t_hi - 1, t_lo - 1, -1):
         q *= (t + 1 - s1) * (t + 1 - s2) * (t + 1 - s3) * (t + 1 - s4)
         p = q - (t + 2) * (b1 - t) * (b2 - t) * (b3 - t) * p
-    denominator = 1
-    for s in tri:
-        denominator *= factorial(t_hi - s)
-    for b in box:
-        denominator *= factorial(b - t_lo)
-    total = factorial(t_lo + 1) * p
-    return (-total if t_lo % 2 else total), denominator
+    # term(t_lo) = (t_lo+1) t_lo! / prod k!, taking the smaller k in turn
+    parts = sorted([t_lo - s for s in tri] + [b - t_lo for b in box])
+    term, rest = t_lo + 1, t_lo
+    for k in parts[:-1]:
+        term *= math.comb(rest, k)
+        rest -= k
+    total = term * p // q
+    return -total if t_lo % 2 else total
 
 
-def _normal_form(total, denominator, triads, radicand=1):
-    """total/denominator sqrt(radicand) times the triangle coefficients of
-    the triads, as a SqrtRational: the radicands fold into one square-free
-    s and the rational part into one integer numerator and denominator,
-    reduced once."""
+def _normal_form(total, triads, radicand=1):
+    """total sqrt(radicand) times the triangle coefficients of the triads,
+    as a SqrtRational: the radicands fold into one square-free s and the
+    rational part into one integer numerator over the product of the
+    triangle denominators, reduced once."""
     if total == 0:
         return SqrtRational.zero()
     s, numerator = squarefree_split(radicand)
+    denominator = 1
     for triad in triads:
         d, s_t = _delta_parts(*triad)
         g = math.gcd(s, s_t)
@@ -299,7 +297,7 @@ def sixj_exact(tj1, tj2, tj3, tj4, tj5, tj6):
     triads = _triads(*args)
     if not all(triad_ok(*t) for t in triads):
         return SqrtRational.zero()
-    return _normal_form(*_racah_sum(*args), triads)
+    return _normal_form(_racah_sum(*args), triads)
 
 
 def u_exact(two_x, two_y, params: ScreenParams):
@@ -307,7 +305,7 @@ def u_exact(two_x, two_y, params: ScreenParams):
     params.point_index(two_x, two_y)
     args = (params.two_a, params.two_b, two_x,
             params.two_c, params.two_d, two_y)
-    return _normal_form(*_racah_sum(*args), _triads(*args),
+    return _normal_form(_racah_sum(*args), _triads(*args),
                         (two_x + 1) * (two_y + 1))
 
 
@@ -414,14 +412,14 @@ def _axis_denominators(pairs, two_j):
 def _u_real(quad, tx, ty, dx, dy):
     """U(x, y) of a screen point as the double nearest u_exact's value.
 
-    U^2 = total^2 (2x+1) (2y+1) / (den^2 Dx Dy), with total/den the Racah
-    sum and 1/Dx, 1/Dy the triangle coefficients of column x and row y, so
-    one correctly rounded integer division replaces the SqrtRational.
+    U^2 = N^2 (2x+1) (2y+1) / (Dx Dy), with N the Racah sum and 1/Dx, 1/Dy
+    the triangle coefficients of column x and row y, so one correctly
+    rounded integer division replaces the SqrtRational.
     """
     ta, tb, tc, td = quad
-    total, den = _racah_sum(ta, tb, tx, tc, td, ty)
+    total = _racah_sum(ta, tb, tx, tc, td, ty)
     return _signed_sqrt_ratio(total * total * ((tx + 1) * (ty + 1)),
-                              den * den * dx * dy, total < 0)
+                              dx * dy, total < 0)
 
 
 def screen_oracle(params: ScreenParams):

@@ -162,23 +162,47 @@ def check_regge_invariance(params, rng, n_random, screen):
                     "U grid and geometric curves under parameter conjugation")]
 
 
+def _lambda_quartic_sensitivity(a, b, g):
+    """sum over the squared sides e^2 of |d lambda / d e^2| e^2, which is
+    lambda_quartic's condition number at (a, b, g) times |lambda|."""
+    a2, b2, g2 = a * a, b * b, g * g
+    return 2 * (abs(a2 - b2 - g2) * a2 + abs(b2 - a2 - g2) * b2
+                + abs(g2 - a2 - b2) * g2)
+
+
+def _volume_sq_sensitivity(t):
+    """sum over the six squared edges e^2 of |d V^2 / d e^2| e^2, which is
+    V^2's condition number at t times |V^2|, from the Gramian's cofactors."""
+    C2, D2, Y2, X2, B2, A2 = t.C ** 2, t.D ** 2, t.Y ** 2, t.X ** 2, t.B ** 2, t.A ** 2
+    g12, g13, g23 = (C2 + D2 - X2) / 2, (C2 + Y2 - B2) / 2, (D2 + Y2 - A2) / 2
+    c12, c13, c23 = g13 * g23 - g12 * Y2, g12 * g23 - D2 * g13, g12 * g13 - C2 * g23
+    return (abs(D2 * Y2 - g23 * g23 + c12 + c13) * C2
+            + abs(C2 * Y2 - g13 * g13 + c12 + c23) * D2
+            + abs(C2 * D2 - g12 * g12 + c13 + c23) * Y2
+            + abs(c12) * X2 + abs(c13) * B2 + abs(c23) * A2) / 36
+
+
 def check_geometry_identities(params, rng, n_random, screen):
+    # lambda against Heron and Cayley-Menger against Gram are held as the
+    # relative error over the condition number, |difference| / sensitivity:
+    # at seeds 0-59 a nearly flat tetrahedron is up to 4.5e-9 off in both
+    # volume routes alike, and a thin triangle's quartic up to 3.8e-11
     worst_lambda = worst_gram = worst_root = worst_ridge = 0.0
     for _ in range(n_random):
         pts = np.array([[rng.uniform(-2, 2) for _ in range(3)] for _ in range(4)])
         d = lambda i, j: float(np.linalg.norm(pts[i] - pts[j]))
         t = Tetrahedron(A=d(2, 3), B=d(1, 3), C=d(0, 1), D=d(0, 2),
                         X=d(1, 2), Y=d(0, 3))
-        sides = (rng.uniform(0.1, 3), rng.uniform(0.1, 3), 0.0)
-        a, b = sides[0], sides[1]
+        a, b = rng.uniform(0.1, 3), rng.uniform(0.1, 3)
         g = rng.uniform(abs(a - b), a + b)
         lam = geometry.lambda_quartic(a, b, g)
         f = geometry.heron_area(a, b, g)
-        worst_lambda = max(worst_lambda,
-                           abs(lam + 16 * f * f) / max(abs(lam), 1e-30))
+        worst_lambda = max(worst_lambda, abs(lam + 16 * f * f)
+                           / _lambda_quartic_sensitivity(a, b, g))
         v_cm = geometry.volume_sq(t)
         v_gr = geometry.volume_sq_gram(t)
-        worst_gram = max(worst_gram, abs(v_cm - v_gr) / max(abs(v_cm), 1e-12))
+        worst_gram = max(worst_gram,
+                         abs(v_cm - v_gr) / _volume_sq_sensitivity(t))
     caustics = geometry.ridges_and_caustics(params)
     A, B, C, D = (geometry.edge_length(t) for t in params.as_tuple())
     for i, Xv in enumerate(caustics.x_samples):
@@ -195,8 +219,10 @@ def check_geometry_identities(params, rng, n_random, screen):
             worst_ridge = max(worst_ridge,
                               abs(np.sqrt(max(v2, 0.0)) - vmax) / vmax)
     return [
-        _result("geometry-lambda-heron", worst_lambda, 1e-12),
-        _result("geometry-cm-gram", worst_gram, 1e-10),
+        _result("geometry-lambda-heron", worst_lambda, 1e-12,
+                "relative error over condition number"),
+        _result("geometry-cm-gram", worst_gram, 1e-10,
+                "relative error over condition number"),
         _result("geometry-caustic-roots", worst_root, 1e-9,
                 "V^2 at caustic roots over Vmax^2"),
         _result("geometry-ridge-volume", worst_ridge, 1e-10,

@@ -3,12 +3,13 @@ import json
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import spinscreen as ss
-from spinscreen import cli, exact, exports, verify
+from spinscreen import cli, exact, exports, geometry, verify
 
 
 def run_cli(*args, env=None):
@@ -291,6 +292,62 @@ def test_verify_report_carries_each_checks_seconds(tmp_path, capsys):
     assert all(isinstance(t, float) and t >= 0.0 for t in seconds.values())
     geometry = {t for name, t in seconds.items() if name.startswith("geometry")}
     assert len(geometry) == 1 and seconds["golden"] not in geometry
+
+
+def _geometry_failures(seed):
+    return [(r.name, r.value) for r in verify.run_checks(
+        names=["geometry"], n_random=200, seed=seed) if not r.passed]
+
+
+def test_verify_geometry_passes_every_seed():
+    # nearly flat random triangles and tetrahedra lose digits in both
+    # routes alike; held over their condition numbers, every draw passes
+    assert {seed: _geometry_failures(seed) for seed in range(60)} \
+        == {seed: [] for seed in range(60)}
+
+
+def _gram_det(C2, D2, Y2, X2, B2, A2):
+    g12, g13, g23 = (C2 + D2 - X2) / 2, (C2 + Y2 - B2) / 2, (D2 + Y2 - A2) / 2
+    return (C2 * (D2 * Y2 - g23 * g23) - g12 * (g12 * Y2 - g23 * g13)
+            + g13 * (g12 * g23 - D2 * g13)) / 36
+
+
+def _exact_sensitivity(poly, squares):
+    """sum of |d poly / d e2| e2 over the squares, each derivative a central
+    difference in Fractions: exact for a quadratic, off by h^2 for a
+    cubic."""
+    h, total = Fraction(1, 10 ** 40), 0
+    for i, e2 in enumerate(squares):
+        up, down = list(squares), list(squares)
+        up[i] += h
+        down[i] -= h
+        total += abs(poly(*up) - poly(*down)) / (2 * h) * e2
+    return total
+
+
+def test_verify_geometry_sensitivities_are_the_exact_derivatives():
+    rng = random.Random(5)
+    for _ in range(20):
+        t = ss.Tetrahedron(*(rng.uniform(1, 2) for _ in range(6)))
+        squares = [Fraction(v) ** 2 for v in (t.C, t.D, t.Y, t.X, t.B, t.A)]
+        assert verify._volume_sq_sensitivity(t) == pytest.approx(
+            float(_exact_sensitivity(_gram_det, squares)), rel=1e-12)
+        a, b, g = t.A, t.B, rng.uniform(abs(t.A - t.B), t.A + t.B)
+        assert verify._lambda_quartic_sensitivity(a, b, g) == pytest.approx(
+            float(_exact_sensitivity(
+                lambda a2, b2, g2: (a2 - b2) ** 2 - 2 * g2 * (a2 + b2) + g2 * g2,
+                [Fraction(v) ** 2 for v in (a, b, g)])), rel=1e-12)
+
+
+@pytest.mark.parametrize("route, name", [
+    ("volume_sq_gram", "geometry-cm-gram"),
+    ("lambda_quartic", "geometry-lambda-heron")])
+def test_verify_geometry_still_sees_a_route_off_by_1e_8(monkeypatch, route,
+                                                       name):
+    exact_route = getattr(geometry, route)
+    monkeypatch.setattr(geometry, route,
+                        lambda *args: exact_route(*args) * (1 + 1e-8))
+    assert name in [n for n, _ in _geometry_failures(1234)]
 
 
 def test_verify_unit_sixj_dispatches_every_family(monkeypatch):

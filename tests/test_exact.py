@@ -11,7 +11,7 @@ import pytest
 import spinscreen as ss
 from spinscreen import exact
 from spinscreen.exact import (SqrtRational, _axis_denominators, _racah_sum,
-                              _u_real, factorial)
+                              _u_real)
 from spinscreen.spins import triad_ok
 from conftest import random_valid_quadruple, random_lattice_point
 
@@ -286,18 +286,6 @@ def test_to_real_above_the_double_range():
             value.to_real()
 
 
-def test_factorial_cache():
-    assert factorial(0) == 1
-    assert factorial(20) == math.factorial(20)
-    assert factorial(5) == 120
-
-
-def test_factorial_of_a_negative_argument_raises():
-    factorial(30)
-    with pytest.raises(ValueError):
-        factorial(-1)
-
-
 # the primes up to 6001, past (a+b+c)/2 + 1 for every triad with entries
 # up to 4000
 _PRIMES = [p for p in range(2, 6002)
@@ -361,32 +349,30 @@ def test_delta_parts_on_both_sides_of_the_sieve_limit(triad):
 # --- the Racah sum against an independent plain-factorial sum -------------
 
 def _plain_racah_sum(tjs):
-    """(total, denominator, terms) of the Racah sum, term by term from
-    math.factorial over the same common denominator as _racah_sum, with no
-    term ratio."""
+    """(total, terms) of the Racah sum, term by term from math.factorial,
+    with no term ratio and no common denominator: each term is an integer
+    by itself."""
     tj1, tj2, tj3, tj4, tj5, tj6 = tjs
     tri = [(a + b + c) // 2 for a, b, c in exact._triads(*tjs)]
     box = [(tj1 + tj2 + tj4 + tj5) // 2, (tj2 + tj3 + tj5 + tj6) // 2,
            (tj1 + tj3 + tj4 + tj6) // 2]
     t_lo, t_hi = max(tri), min(box)
-    denominator = math.prod(math.factorial(t_hi - s) for s in tri) \
-        * math.prod(math.factorial(b - t_lo) for b in box)
     total = 0
     for t in range(t_lo, t_hi + 1):
         term_den = math.prod(math.factorial(t - s) for s in tri) \
             * math.prod(math.factorial(b - t) for b in box)
-        term, rest = divmod(denominator * math.factorial(t + 1), term_den)
+        term, rest = divmod(math.factorial(t + 1), term_den)
         assert rest == 0, (tjs, t)
         total += -term if t % 2 else term
-    return total, denominator, t_hi - t_lo + 1
+    return total, t_hi - t_lo + 1
 
 
 def test_racah_sum_is_the_plain_sum_on_every_small_tuple():
     checked = zeros = single = 0
     for tjs in itertools.product(range(9), repeat=6):
         if all(triad_ok(*t) for t in exact._triads(*tjs)):
-            total, denominator, terms = _plain_racah_sum(tjs)
-            assert _racah_sum(*tjs) == (total, denominator), tjs
+            total, terms = _plain_racah_sum(tjs)
+            assert _racah_sum(*tjs) == total, tjs
             checked += 1
             zeros += total == 0
             single += terms == 1
@@ -412,8 +398,8 @@ def _check_racah_sums(quad, count, seed):
     _, points = _seeded_points(quad, count, seed)
     for i, (tx, ty) in enumerate(points):
         tjs = (ta, tb, tx, tc, td, ty)
-        total, denominator, terms = _plain_racah_sum(tjs)
-        assert _racah_sum(*tjs) == (total, denominator), tjs
+        total, terms = _plain_racah_sum(tjs)
+        assert _racah_sum(*tjs) == total, tjs
         # each edge has one degenerate triad, so one term
         assert terms == 1 or i < count, tjs
 
@@ -461,14 +447,13 @@ def test_u_exact_is_its_sixj_times_the_root_at_large_sides(quad, count):
 
 
 def test_concurrent_evaluation():
-    # the factorial and triad caches are shared: threads filling them at
-    # once must read the same values a single thread does
+    # the triad cache is shared: threads filling it at once must read the
+    # same values a single thread does
     import sys
     import threading
     p = ss.screen_ranges(20, 30, 40, 36)
     expected = ss.sixj_exact(20, 30, p.two_x_min + 4, 40, 36, p.two_y_min + 4)
-    for cache in (factorial, exact._delta_parts):
-        cache.cache_clear()
+    exact._delta_parts.cache_clear()
     results = []
 
     def worker(seed):
@@ -520,10 +505,10 @@ def test_float_path_rescales_an_underflowing_square():
     assert (tx, ty) == (1500, 1700)
     dx = _axis_denominators(((600, 900), (1200, 1100)), [tx])[0]
     dy = _axis_denominators(((600, 1100), (1200, 900)), [ty])[0]
-    total, den = _racah_sum(600, 900, tx, 1200, 1100, ty)
+    total = _racah_sum(600, 900, tx, 1200, 1100, ty)
     # U^2 itself underflows a double; its quotient, scaled into the normal
     # range before the one division, keeps every bit
-    assert total * total * (tx + 1) * (ty + 1) / (den * den * dx * dy) == 0.0
+    assert total * total * (tx + 1) * (ty + 1) / (dx * dy) == 0.0
     expected = 1.2395618071713993e-215
     assert ss.u_exact(tx, ty, p).to_real() == expected
     assert _u_real(quad, tx, ty, dx, dy) == expected
@@ -545,8 +530,8 @@ def test_oracle_rounds_right_where_the_square_is_subnormal(tx, ty):
     p = ss.screen_ranges(*quad)
     dx = _axis_denominators(((600, 900), (1200, 1100)), [tx])[0]
     dy = _axis_denominators(((600, 1100), (1200, 900)), [ty])[0]
-    total, den = _racah_sum(600, 900, tx, 1200, 1100, ty)
-    u2_num, u2_den = total * total * (tx + 1) * (ty + 1), den * den * dx * dy
+    total = _racah_sum(600, 900, tx, 1200, 1100, ty)
+    u2_num, u2_den = total * total * (tx + 1) * (ty + 1), dx * dy
     assert 0.0 < u2_num / u2_den < sys.float_info.min
     ref = _decimal_root(u2_num, u2_den, total < 0)
     for got in (ss.u_exact(tx, ty, p).to_real(),
