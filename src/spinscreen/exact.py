@@ -19,7 +19,7 @@ from .spins import ScreenParams, triad_ok
 
 # the largest two_kappa of an oracle screen the command line and verify
 # build: its single sums grow quadratically in the side, and a side-201
-# screen (two_kappa 400) takes 2-2.6 s
+# screen (two_kappa 400) takes 1.4-1.6 s (2-core x86-64, best of 3)
 ORACLE_KAPPA2_CAP = 400
 
 

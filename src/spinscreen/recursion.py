@@ -39,31 +39,24 @@ def _stretched_sign(params: ScreenParams):
     return (-1) ** ((params.two_a + params.two_b + params.two_c + params.two_d) // 2)
 
 
-def _shifted_lu(setup, start, shift, what):
-    """dgttrf's factors (dl, d, du, du2, ipiv) of T[start:, start:] - shift.
+def _shifted_lu(setup, shift, what):
+    """dgttrf's factors (dl, d, du, du2, ipiv) of T - shift.
 
     T is the symmetric tridiagonal matrix of the three-term recursion of
-    setup (a _RowSetup).  The block is padded with a decoupled 2x2
-    identity, which keeps its determinant and meets the wrapper's minimum
-    order of 3; a right-hand side for dgttrs carries two zero entries to
-    match.  A zero pivot raises ConvergenceFailure, whose message begins
-    with what.
+    setup (a _RowSetup).  It is padded with a decoupled 2x2 identity,
+    which keeps its determinant and meets the wrapper's minimum order of
+    3; a right-hand side for dgttrs carries two zero entries to match.  A
+    zero pivot raises ConvergenceFailure, whose message begins with what.
     """
-    order = len(setup.coeffs.w) - start
-    diag = np.empty(order + 2)
-    np.subtract(setup.coeffs.w[start:], shift, diag[:order])
-    diag[order:] = 1.0
-    off = setup.off[start:]
-    *factors, info = scipy.linalg.lapack.dgttrf(off, diag, off)
+    n = len(setup.coeffs.w)
+    diag = np.empty(n + 2)
+    np.subtract(setup.coeffs.w, shift, diag[:n])
+    diag[n:] = 1.0
+    *factors, info = scipy.linalg.lapack.dgttrf(setup.off, diag, setup.off)
     if info > 0:
-        raise _singular(what, start, shift, order)
+        raise ConvergenceFailure("%s: T - %r is singular"
+                                 % (what, float(shift)))
     return factors
-
-
-def _singular(what, start, shift, order):
-    """The ConvergenceFailure of a singular T[start:, start:] - shift."""
-    return ConvergenceFailure("%s: T[%d:, %d:] - %r is singular (order %d)"
-                              % (what, start, start, float(shift), order))
 
 
 def _sturm_parities(coeffs: TridiagCoeffs, lam, starts):
@@ -104,7 +97,8 @@ def _sturm_parities(coeffs: TridiagCoeffs, lam, starts):
             done = active[k - 1]
             if done < a and not r[done:a].all():
                 zero = done + int(np.flatnonzero(r[done:a] == 0)[0])
-                raise _singular("trailing block", k, lam[zero], n - k)
+                raise ConvergenceFailure("trailing block: T[%d:, %d:] - %r is "
+                                         "singular" % (k, k, float(lam[zero])))
     parities = np.empty(cols, dtype=bool)
     parities[order] = odd
     return parities
@@ -129,17 +123,34 @@ def _anchor(coeffs: TridiagCoeffs, lam, block):
                       * (1 - 2 * (parity % 2)) < 0, -1.0, 1.0)
 
 
-def _anchor_row(setup, lam, row):
-    """_anchor for one row, with the sign of det(T[i+1:, i+1:] - lam) from
-    one LAPACK dgttrf: U's diagonal signs times (-1)^(row swaps)."""
-    istar = int(np.abs(row).argmax())
-    m = parity = len(row) - 1 - istar
-    if m > 0:
-        _, u_diag, _, _, ipiv = _shifted_lu(setup, istar + 1, lam,
-                                            "trailing block")
-        parity += (np.count_nonzero(u_diag < 0)
-                   + np.count_nonzero(ipiv != setup.pivots[:m + 2]))
-    if row[istar] * _stretched_sign(setup.coeffs.params) * (-1) ** int(parity) < 0:
+def _anchor_row(setup, factors, iy, row, what):
+    """Give row, solved with factors (_shifted_lu of T - shift), U's
+    stretched-boundary sign at row iy, from those factors alone.
+
+    U(x_min, y) has sign s (-1)^(n-1-iy), s the stretched sign: the
+    eigenvector of the (iy+1)-th smallest eigenvalue of a Jacobi matrix
+    (p_plus > 0 inside) changes sign n-1-iy times.  The forward recursion
+    from x_min then reads U's sign at the row's largest entry i as that
+    times (-1)^i sign det(T[:i, :i] - shift).  After i-1 elimination
+    steps the leading block is upper triangular, so its determinant's sign
+    is the parity of the negative d[:i-1], of the row swaps in ipiv[:i-1]
+    and of the pending diagonal: d[i-1], or dl[i-1] d[i-1] after a swap at
+    step i-1.  No LAPACK call is made.  A zero pending diagonal (a
+    singular leading block) raises ConvergenceFailure, whose message
+    begins with what.
+    """
+    i = int(np.abs(row).argmax())
+    parity = len(row) - 1 - iy + i
+    if i > 0:
+        dl, d, _, _, ipiv = factors
+        pending = d[i - 1] if ipiv[i - 1] == i else dl[i - 1] * d[i - 1]
+        if pending == 0:
+            raise ConvergenceFailure("%s: T[:%d, :%d] - shift is singular"
+                                     % (what, i, i))
+        # ipiv[k] is k+1, or k+2 after a swap at step k
+        parity += (np.count_nonzero(d[:i - 1] < 0) + np.signbit(pending)
+                   + int(ipiv[:i - 1].sum()) - i * (i - 1) // 2)
+    if row[i] * _stretched_sign(setup.coeffs.params) * (-1) ** int(parity) < 0:
         row *= -1.0
 
 
@@ -179,25 +190,21 @@ def _start_vector(n):
 class _RowSetup(NamedTuple):
     """What a screen's threeterm rows share, all read-only:
     its TridiagCoeffs, the off-diagonal p_plus[:-1] with _shifted_lu's two
-    padding zeros (a trailing block's is a slice of it), dgttrf's pivots
-    1..n+2 when no row is swapped and the padded start vector.  The shift
-    is not kept: it is taken from _SHIFT_NUDGE and the coefficients' scale
-    at each solve."""
+    padding zeros and the padded start vector.  The shift is not kept: it
+    is taken from _SHIFT_NUDGE and the coefficients' scale at each
+    solve."""
 
     coeffs: TridiagCoeffs
     off: np.ndarray
-    pivots: np.ndarray
     start: np.ndarray
 
 
 def _setup_of(coeffs: TridiagCoeffs):
     """The _RowSetup of coeffs, whose arrays it makes read-only."""
-    n = len(coeffs.w)
     setup = _RowSetup(coeffs=coeffs,
                       off=np.concatenate((coeffs.p_plus[:-1], (0.0, 0.0))),
-                      pivots=np.arange(1, n + 3), start=_start_vector(n))
-    for array in (coeffs.p_plus, coeffs.w, coeffs.lam, setup.off,
-                  setup.pivots, setup.start):
+                      start=_start_vector(len(coeffs.w)))
+    for array in (coeffs.p_plus, coeffs.w, coeffs.lam, setup.off, setup.start):
         array.setflags(write=False)
     return setup
 
@@ -211,19 +218,19 @@ def _row_setup(params: ScreenParams):
 def _inverse_iteration(setup, iy):
     """Row iy of U by inverse iteration from setup's start vector, the
     shift nudged by coeffs.scale (see rows_by_threeterm), signed by
-    _anchor_row."""
+    _anchor_row from the factorization it was solved with."""
     coeffs = setup.coeffs
     n = len(coeffs.w)
     shift = coeffs.lam[iy] + _SHIFT_NUDGE * coeffs.scale
-    factors = _shifted_lu(setup, 0, shift,
-                          "two_y=%d" % (coeffs.params.two_y_min + 2 * iy))
+    what = "two_y=%d" % (coeffs.params.two_y_min + 2 * iy)
+    factors = _shifted_lu(setup, shift, what)
     row = setup.start
     for _ in range(_SOLVES):
         row = scipy.linalg.lapack.dgttrs(*factors, row)[0]
         head = row[:n]
         # the 2-norm as np.linalg.norm takes it, without its dispatch
         row /= math.sqrt(head @ head)
-    _anchor_row(setup, coeffs.lam[iy], head)
+    _anchor_row(setup, factors, iy, head, what)
     return head
 
 
@@ -346,11 +353,12 @@ def rows_by_threeterm(two_ys, params: ScreenParams):
     vector (dgttrs, O(n) each).  The shift is nudged off lambda(y) by
     _SHIFT_NUDGE times the spectral scale: integer coefficients otherwise
     make the shifted matrix exactly singular.  Each row has unit sum of
-    squares and the eigensolver's stretched-boundary sign, from one more
-    dgttrf (_anchor_row), so a block is its rows side by side, whatever
-    its width.  The coefficients and start vector are built once per
-    screen and shared by every row and block of it.  Every two_y is
-    checked before any solve: one off the y lattice raises OutOfRange.
+    squares and the eigensolver's stretched-boundary sign, read from the
+    same factorization (_anchor_row), so a row costs one dgttrf and a
+    block is its rows side by side, whatever its width.  The coefficients
+    and start vector are built once per screen and shared by every row
+    and block of it.  Every two_y is checked before any solve: one off the
+    y lattice raises OutOfRange.
     """
     iys = [params.row_index(two_y) for two_y in two_ys]
     setup = _row_setup(params)

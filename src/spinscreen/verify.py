@@ -92,11 +92,13 @@ def check_cross_methods(params, rng, n_random, screen):
 
 
 def check_threeterm(params, rng, n_random, screen):
-    eig = screen("eigensolve", params)
-    rows = screen("threeterm", params)
-    return [_result("threeterm-rows",
-                    np.max(np.abs(rows.values - eig.values)), THREETERM_BOUND,
-                    "all %d rows vs eigensolver" % params.side)]
+    eig = screen("eigensolve", params).values
+    rows = recursion.rows_by_threeterm(params.y_lattice(), params)
+    twisted = screen("threeterm", params).values
+    return [_result("threeterm-rows", np.max(np.abs(rows - eig)),
+                    THREETERM_BOUND, "all %d rows vs eigensolver" % params.side),
+            _result("threeterm-screen", np.max(np.abs(twisted - eig)),
+                    THREETERM_BOUND, "twisted screen vs eigensolver")]
 
 
 def check_exact_symmetries(params, rng, n_random, screen):

@@ -169,20 +169,46 @@ def _swept(coeffs, lam, block):
     return out
 
 
+def _lu_signed(setup, shift, iy, row):
+    """Sign row, in place, as row iy of the screen by _anchor_row, from the
+    LU of T - shift."""
+    what = "row %d" % iy
+    recursion._anchor_row(setup, recursion._shifted_lu(setup, shift, what),
+                          iy, row, what)
+
+
+def _nudged(coeffs, lam):
+    """lam nudged as the rows' shifts are: an eigenvalue can make T - lam
+    exactly singular."""
+    return lam + recursion._SHIFT_NUDGE * coeffs.scale
+
+
 def _lu_anchored(coeffs, lam, block):
-    """A copy of block anchored at lam by one LU per column (_anchor_row)."""
+    """A copy of block, each column j signed as row j by the LU of
+    T - shift at the rows' nudged shift of lam[j] (_lu_signed)."""
     out = block.copy()
     setup = recursion._setup_of(coeffs)
-    for j in range(out.shape[1]):
-        recursion._anchor_row(setup, lam[j], out[:, j])
+    for j, shift in enumerate(_nudged(coeffs, lam)):
+        _lu_signed(setup, shift, j, out[:, j])
     return out
+
+
+def _pending_case(coeffs, shift, istar):
+    """Which case of the LU rule a column with its largest entry at istar
+    meets: (0, None) for istar = 0, else (min(istar, 2), whether rows
+    istar-1 and istar were swapped at the last elimination step)."""
+    if istar == 0:
+        return 0, None
+    ipiv = recursion._shifted_lu(recursion._setup_of(coeffs), shift, "case")[-1]
+    return min(istar, 2), bool(ipiv[istar - 1] != istar)
 
 
 def test_anchor_sign_matches_backward_recursion():
     # raw eigenvectors with random column signs, so both factors occur
     rng = np.random.default_rng(4)
     factors = {-1.0: 0, 1.0: 0}
-    orders = {0: 0, 1: 0, 2: 0}
+    cases = {(0, None): 0, (1, False): 0, (1, True): 0, (2, False): 0,
+             (2, True): 0}
     for p in _anchor_screens():
         coeffs = tridiag_coeffs(p)
         if p.side == 1:
@@ -200,12 +226,11 @@ def test_anchor_sign_matches_backward_recursion():
             assert np.array_equal(lu[:, iy], factor * vec), (p, iy)
             assert np.array_equal(swept[:, iy], factor * vec), (p, iy)
             factors[factor] += 1
-            m = p.side - 1 - istar
-            if m in orders and p.side == 601:
-                orders[m] += 1
+            cases[_pending_case(coeffs, _nudged(coeffs, evals[iy]), istar)] += 1
     assert min(factors.values()) > 0
-    # trailing blocks of order 0 (no LU), 1 and 2 (padded to 3 and 4)
-    assert orders == {0: 18, 1: 19, 2: 13}
+    # a largest entry at i = 0 (no LU read), at i = 1 (the pending diagonal
+    # alone) and further in, each with and without a swap at step i-1
+    assert min(cases.values()) > 0, cases
 
 
 def test_anchor_argmax_entries_match_oracle(big_params, big_eig):
@@ -235,8 +260,21 @@ def _raises_on_the_singular_block(anchored):
         anchored(_singular_block_coeffs(), np.zeros(4), values)
 
 
-def test_anchor_singular_trailing_block_raises():
-    _raises_on_the_singular_block(_lu_anchored)
+def test_anchor_zero_pending_diagonal_raises():
+    # w equal to the nudged shift at lambda = 0: T - shift is the path
+    # [[0,1,0,0],[1,0,1,0],[0,1,0,1],[0,0,1,0]], regular (det 1), but a
+    # column whose largest entry is its second meets the leading block
+    # T[:1, :1] - shift = [0]: dgttrf swaps rows 0 and 1 with a zero
+    # multiplier, so the pending diagonal dl[0] d[0] is 0
+    coeffs = _singular_block_coeffs()
+    coeffs = recursion.TridiagCoeffs(
+        params=coeffs.params, p_plus=coeffs.p_plus,
+        w=np.full(4, _nudged(coeffs, 0.0)), lam=coeffs.lam)
+    values = np.zeros((4, 4))
+    values[1] = 1.0
+    with pytest.raises(ss.ConvergenceFailure,
+                       match=r"row 0: T\[:1, :1\] - shift is singular"):
+        _lu_anchored(coeffs, coeffs.lam, values)
 
 
 def test_sturm_sweep_singular_trailing_block_raises():
@@ -367,9 +405,10 @@ def test_threeterm_residual(ref_params):
 
 
 def _banded_row(coeffs, iy):
-    """Row iy from three scipy.linalg.solve_banded calls, each factoring
-    T - shift again: the solves the single LU replaces, kept as a reference
-    the rows must match bit for bit."""
+    """Row iy from scipy.linalg.solve_banded calls, each factoring T - shift
+    again, signed from one more LU of T - shift (_lu_signed): the solves
+    the row's single LU replaces, kept as a reference the rows must match
+    bit for bit."""
     n = len(coeffs.w)
     shift = coeffs.lam[iy] + recursion._SHIFT_NUDGE * max(
         1.0, float(np.max(np.abs(coeffs.lam))))
@@ -381,7 +420,7 @@ def _banded_row(coeffs, iy):
     for _ in range(recursion._SOLVES):
         row = scipy.linalg.solve_banded((1, 1), band, row)
         row /= np.linalg.norm(row)
-    recursion._anchor_row(recursion._setup_of(coeffs), coeffs.lam[iy], row)
+    _lu_signed(recursion._setup_of(coeffs), shift, iy, row)
     return row
 
 
@@ -400,6 +439,22 @@ def test_threeterm_rows_match_banded_solves(quad, count):
         two_y = int(p.y_lattice()[iy])
         assert np.array_equal(ss.row_by_threeterm(two_y, p),
                               _banded_row(coeffs, iy)), (quad, two_y)
+
+
+def test_a_row_block_factors_each_row_once(monkeypatch, big_params):
+    # the solves and the sign read one dgttrf of T - shift per row
+    calls = []
+    dgttrf = scipy.linalg.lapack.dgttrf
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return dgttrf(*args)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgttrf", counted)
+    n = big_params.side
+    two_ys = big_params.y_lattice()[np.random.default_rng(1).permutation(n)[:40]]
+    ss.rows_by_threeterm(two_ys, big_params)
+    assert calls == [n + 2] * 40
 
 
 @pytest.mark.parametrize("quad, two_y", [((3, 3, 3, 3), 0),
@@ -468,7 +523,7 @@ def test_cached_setup_is_read_only_and_results_are_writable(ref_params):
     row = ss.row_by_threeterm(ref_params.two_y_min, ref_params)
     setup = recursion._row_setup(ref_params)
     for array in (setup.coeffs.w, setup.coeffs.p_plus, setup.coeffs.lam,
-                  setup.off, setup.pivots, setup.start):
+                  setup.off, setup.start):
         with pytest.raises(ValueError):
             array[0] = 1.0
     row[0] = 1.0
@@ -919,15 +974,36 @@ def test_verify_threeterm_reads_its_bound(ref_params, ref_eig):
     def check(values):
         screens = {"eigensolve": ref_eig,
                    "threeterm": ss.Screen(ref_params, values, "threeterm")}
-        (result,) = verify.check_threeterm(ref_params, None, 0,
-                                           lambda method, p: screens[method])
-        assert result.threshold == verify.THREETERM_BOUND
-        return result.passed
+        rows, screen = verify.check_threeterm(ref_params, None, 0,
+                                              lambda method, p: screens[method])
+        assert (rows.name, screen.name) == ("threeterm-rows", "threeterm-screen")
+        assert rows.threshold == screen.threshold == verify.THREETERM_BOUND
+        assert rows.passed
+        return screen.passed
 
     assert check(twisted.values)
     scaled = twisted.values.copy()
     scaled[:, 20] *= 1 + 1e-8
     assert not check(scaled)
+
+
+def test_verify_threeterm_sees_one_flipped_row(monkeypatch, ref_params,
+                                               ref_eig):
+    # the rows are rows_by_threeterm's own, not the twisted screen's
+    anchor = recursion._anchor_row
+
+    def flip_one(setup, factors, iy, row, what):
+        anchor(setup, factors, iy, row, what)
+        if iy == 20:
+            row *= -1.0
+
+    monkeypatch.setattr(recursion, "_anchor_row", flip_one)
+    screens = {"eigensolve": ref_eig,
+               "threeterm": ss.screen_by_threeterm(ref_params)}
+    rows, screen = verify.check_threeterm(ref_params, None, 0,
+                                          lambda method, p: screens[method])
+    assert not rows.passed and screen.passed
+    assert rows.value == pytest.approx(2 * np.max(np.abs(ref_eig.values[:, 20])))
 
 
 def test_verify_builds_each_screen_once(monkeypatch, ref_params):
@@ -1031,11 +1107,12 @@ def test_gate_accepts_large_kappa_screens(gate_screens, method, quad):
 @pytest.mark.parametrize("quad", [(1000, 1000, 1000, 1000),
                                   (2000, 2000, 2000, 2000)])
 def test_verify_threeterm_passes_large_kappa_screens(gate_screens, quad):
-    # eigensolve's own error is worst here: 1.3e-12 and 2.5e-12 off
-    # threeterm, which a bound of 1e-12 would reject
-    (result,) = verify.check_threeterm(ss.screen_ranges(*quad), None, 0,
-                                       lambda method, p: gate_screens(method, quad))
-    assert result.passed, result.value
+    # eigensolve's own error is worst here: 1.3e-12 and 2.5e-12 off the
+    # twisted screen, which a bound of 1e-12 would reject; the rows too
+    results = verify.check_threeterm(ss.screen_ranges(*quad), None, 0,
+                                     lambda method, p: gate_screens(method, quad))
+    assert [r.name for r in results] == ["threeterm-rows", "threeterm-screen"]
+    assert all(r.passed for r in results), results
 
 
 def test_twisted_screen_holds_no_denormal(gate_screens):
