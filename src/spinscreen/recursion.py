@@ -10,7 +10,8 @@ from decimal import Decimal
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
+# scipy.linalg loads on first use (an eigensolve or a threeterm row), not here
+import scipy
 
 from . import exact
 from .errors import ConvergenceFailure, ZeroPivot
@@ -456,9 +457,12 @@ def _decimal_digits(params: ScreenParams):
     so the round-off of each mode grows as that recurrence's solutions
     grow.  G is the largest log10 growth of its two fundamental solutions,
     (c_0, c_1) = (1, 0) and (0, 1), over all nu and all rows: one
-    eigvalsh_tridiagonal call and a float sweep over the rows, vectorized
-    over nu and rescaled every row, 3-5 ms at sides 61-201.  A zero pivot
-    raises ZeroPivot.
+    eigenvalue call and a float sweep over the rows, vectorized over nu
+    and rescaled every row, 1.2, 5.7 and 44 ms at sides 61, 201 and 601.
+    The eigenvalues come from NumPy's np.linalg.eigvalsh on the dense
+    matrix, 0.2, 2.1 and 28 ms at those sides against 0.14, 0.9 and 6.9
+    ms by scipy.linalg.eigvalsh_tridiagonal, whose import (about 0.2 s)
+    recur2d then skips.  A zero pivot raises ZeroPivot.
 
     Measured against the digits the sweep really loses (D + log10 of its
     largest error against the oracle, at D = ceil(G) + 10 digits), ceil(G)
@@ -478,7 +482,8 @@ def _decimal_digits(params: ScreenParams):
     if zero.size:
         raise ZeroPivot("cross recursion pivot vanishes at two_y=%d"
                         % (params.two_y_min + 2 * (int(zero[0]) + 1)))
-    nu = scipy.linalg.eigvalsh_tridiagonal(cx[1], cx[2, :-1])
+    # eigvalsh reads the lower triangle alone
+    nu = np.linalg.eigvalsh(np.diag(cx[1]) + np.diag(cx[2, :-1], -1))
     prev = np.stack((np.ones_like(nu), np.zeros_like(nu)))
     cur = prev[::-1].copy()
     log_scale = np.zeros_like(prev)

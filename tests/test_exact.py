@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import struct
 import sys
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
@@ -512,6 +513,27 @@ def test_float_path_rescales_an_underflowing_square():
     expected = 1.2395618071713993e-215
     assert ss.u_exact(tx, ty, p).to_real() == expected
     assert _u_real(quad, tx, ty, dx, dy) == expected
+
+
+def test_float_path_is_u_exact_bitwise_at_side_2001():
+    # the four corners and four edge midpoints of the largest screen the
+    # tests build: one corner is -1.4e-214, one rounds to -0.0
+    quad = (2000, 3000, 4000, 3666)
+    p = ss.screen_ranges(*quad)
+    xs = [int(p.x_lattice()[i]) for i in (0, p.side // 2, -1)]
+    ys = [int(p.y_lattice()[i]) for i in (0, p.side // 2, -1)]
+    cols = _axis_denominators(((2000, 3000), (4000, 3666)), xs)
+    rows = _axis_denominators(((2000, 3666), (4000, 3000)), ys)
+    got = {}
+    for (ix, tx), (iy, ty) in itertools.product(enumerate(xs), enumerate(ys)):
+        if ix == iy == 1:
+            continue
+        value = _u_real(quad, tx, ty, cols[ix], rows[iy])
+        expected = ss.u_exact(tx, ty, p).to_real()
+        assert struct.pack("<d", value) == struct.pack("<d", expected), (tx, ty)
+        got[ix, iy] = value
+    assert got[2, 0] == -1.4103895117277864e-214
+    assert got[2, 2] == 0.0 and math.copysign(1.0, got[2, 2]) == -1.0
 
 
 def _decimal_root(num, den, negative=False):

@@ -1,9 +1,13 @@
 """The package's import structure, read from the source: every import is at
 module level, and the graph of imports between the package's modules has no
-cycle."""
+cycle.  What a fresh interpreter loads: SciPy's linear algebra only once an
+eigensolve or a threeterm row needs it."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -82,3 +86,43 @@ def test_the_graph_sees_every_module():
     assert set().union(*GRAPH.values()) <= set(MODULES)
     assert {"screen", "spins", "errors"} <= GRAPH["recursion"]
     assert "screen" in GRAPH["exact"] and "screen" in GRAPH["geometry"]
+
+
+# each step runs in one fresh interpreter, in order; after each,
+# scipy.linalg is still unloaded
+_LINALG_FREE = [
+    "import spinscreen as ss",
+    "import spinscreen.cli",
+    "p = ss.screen_ranges(8, 10, 12, 10)",
+    "ss.screen_oracle(p)",
+    "ss.screen_by_2d(p)",
+    "twisted = ss.screen_by_threeterm(p)",
+    "ss.u_exact(10, 10, p)",
+    "ss.ridges_and_caustics(p)",
+    "ss.pr_compare(twisted)",
+    "ss.ninej.reduction_check(p)",
+]
+
+
+def _fresh(steps):
+    """Run steps in a fresh interpreter; after each, print whether
+    scipy.linalg is loaded."""
+    lines = ["import sys"]
+    for step in steps:
+        lines += [step, "print('scipy.linalg' in sys.modules)"]
+    path = filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run([sys.executable, "-c", "\n".join(lines)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return [line == "True" for line in done.stdout.split()]
+
+
+def test_only_an_eigensolve_or_a_row_loads_scipy_linalg():
+    loaded = _fresh(_LINALG_FREE)
+    assert loaded == [False] * len(_LINALG_FREE), [
+        step for step, hit in zip(_LINALG_FREE, loaded) if hit]
+    for call in ("ss.screen_by_eigensolve(p)", "ss.row_by_threeterm(10, p)"):
+        steps = ["import spinscreen as ss", "p = ss.screen_ranges(8, 10, 12, 10)",
+                 call]
+        assert _fresh(steps) == [False, False, True], call

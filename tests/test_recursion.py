@@ -806,6 +806,51 @@ def test_mode_growth_tracks_the_digits_lost(mid_params, mid_oracle):
     assert np.max(np.abs(values - mid_oracle.values)) > 1e-8
 
 
+def _tridiagonal_decimal_digits(params):
+    """_decimal_digits as it was with the x operator's eigenvalues from
+    scipy.linalg.eigvalsh_tridiagonal: the reference of the dense rule."""
+    if params.side < 3:
+        return 40
+    cx, cy = recursion._cross_coeffs(params)
+    if np.any(cy[2, 1:-1] == 0):
+        raise ss.ZeroPivot("cross recursion pivot vanishes")
+    nu = scipy.linalg.eigvalsh_tridiagonal(cx[1], cx[2, :-1])
+    prev = np.stack((np.ones_like(nu), np.zeros_like(nu)))
+    cur = prev[::-1].copy()
+    log_scale = np.zeros_like(prev)
+    peak = np.zeros_like(prev)
+    for cym, cy0, cyp in cy[:, 1:-1].T:
+        nxt = ((nu - cy0) * cur - cym * prev) / cyp
+        scale = np.maximum(np.abs(cur), np.abs(nxt))
+        log_scale += np.log10(scale)
+        np.maximum(peak, log_scale, out=peak)
+        prev, cur = cur / scale, nxt / scale
+    return 40 + math.ceil(peak.max())
+
+
+def test_decimal_digits_match_the_tridiagonal_eigenvalues():
+    # every two_j <= 8 screen, then each larger screen a test, verify, CI,
+    # the benchmark or tools/stages.py builds by recur2d, up to side 601
+    quads = [q for q in itertools.product(range(9), repeat=4)
+             if sum(q) % 2 == 0]
+    rng = random.Random(8)
+    quads += [random_valid_quadruple(rng, two_j_max=16).as_tuple()
+              for _ in range(6)]
+    quads += [(20, 30, 40, 36), (40, 60, 80, 74), (60, 90, 120, 110),
+              ss.regge_conjugate(60, 90, 120, 110), (120, 180, 240, 220),
+              (200, 300, 400, 366), (600, 900, 1200, 1100)]
+    checked = 0
+    for quad in quads:
+        try:
+            p = ss.screen_ranges(*quad)
+        except ss.EmptyScreen:
+            continue
+        assert (recursion._decimal_digits(p)
+                == _tridiagonal_decimal_digits(p)), quad
+        checked += 1
+    assert checked == 2761 + 13
+
+
 def test_screen_eigensolve_maps_a_linalg_error(monkeypatch):
     def fail(*args, **kwargs):
         raise scipy.linalg.LinAlgError("eigenvalues did not converge")

@@ -26,11 +26,17 @@ def test_stages_writes_every_figure_at_side_61(tmp_path):
 
 
 def _check_tree(tree):
-    assert set(tree) == {"revision", "dirty", "versions", "sides", "startup_s"}
+    assert set(tree) == {"revision", "dirty", "versions", "sides", "startup_s",
+                         "startup_peak_rss_mb"}
     assert set(tree["versions"]) == {"python", "numpy", "scipy", "spinscreen"}
     assert set(tree["startup_s"]) == {"python", "import_numpy",
                                       "import_scipy_linalg",
-                                      "import_spinscreen", "compute_side_61"}
+                                      "import_spinscreen",
+                                      "import_spinscreen_cli",
+                                      "compute_side_61",
+                                      "compute_threeterm_side_61"}
+    assert set(tree["startup_peak_rss_mb"]) == {"import_spinscreen"}
+    assert tree["startup_peak_rss_mb"]["import_spinscreen"] > 0
     side = tree["sides"]["61"]
     assert side["params"] == [60, 90, 120, 110]
     stages = {"oracle": {"values"}, "eigensolve": {"coeffs", "eigh", "anchor"},

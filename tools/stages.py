@@ -18,8 +18,12 @@ side:
 - `pr_compare` with the `eigensolve` screen passed in.
 
 Start-up is timed from fresh processes in each round: `python -c pass`,
-`import numpy`, `import scipy.linalg`, `import spinscreen` and a side-61
-`compute --output screen`.
+`import numpy`, `import scipy.linalg`, `import spinscreen`,
+`import spinscreen.cli`, and a side-61 `compute --output screen` by the
+default method (`eigensolve`) and by `--method threeterm`; the peak
+resident size of the `import spinscreen` process is recorded too.  On
+Linux a child's peak counts what its launcher held when it started, so
+the process that starts them imports nothing of the package.
 
 With `--parent PATH`, the tree at PATH (a checkout with a `src`
 directory) is timed in the same session, interleaved with this one: the
@@ -49,7 +53,11 @@ ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                       "MKL_NUM_THREADS")}
 STARTUP = {"python": "pass", "import_numpy": "import numpy",
            "import_scipy_linalg": "import scipy.linalg",
-           "import_spinscreen": "import spinscreen"}
+           "import_spinscreen": "import spinscreen",
+           "import_spinscreen_cli": "import spinscreen.cli"}
+# the side-61 compute runs, by the name of their start-up figure
+COMPUTE = {"compute_side_61": [],
+           "compute_threeterm_side_61": ["--method", "threeterm"]}
 
 
 def _seconds(call):
@@ -62,9 +70,11 @@ def _seconds(call):
 def measure(sides):
     """One round of in-process figures of the spinscreen on sys.path."""
     # imported here: the driver process times other trees' packages and
-    # must not import one itself
+    # must not import one itself.  scipy.linalg, which spinscreen loads on
+    # its first eigensolve or row, is loaded before any figure is taken,
+    # so that no screen's time holds that import: start-up is timed apart
     import numpy as np
-    import scipy
+    import scipy.linalg
 
     import spinscreen as ss
 
@@ -95,21 +105,35 @@ def measure(sides):
     return out
 
 
+def _process(args, env):
+    """Wall time in seconds and peak resident size in MB of one fresh
+    process."""
+    start = time.perf_counter()
+    child = subprocess.Popen(args, env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    seconds = time.perf_counter() - start
+    child.returncode = os.waitstatus_to_exitcode(status)
+    if child.returncode:
+        raise subprocess.CalledProcessError(child.returncode, args)
+    return seconds, usage.ru_maxrss / 1024
+
+
 def _startup(tree, env):
-    """Wall times of fresh processes: the STARTUP snippets and a side-61
-    compute --output screen."""
-    times = {}
+    """Figures of fresh processes: the wall times of the STARTUP snippets
+    and the COMPUTE runs, and the peak resident size of import spinscreen."""
+    times, peaks = {}, {}
     for name, code in STARTUP.items():
-        _, times[name] = _seconds(lambda: subprocess.run(
-            [sys.executable, "-c", code], env=env, check=True))
-    with tempfile.TemporaryDirectory() as outdir:
-        args = [sys.executable, "-m", "spinscreen", "compute", "--output",
-                "screen", "--outdir", outdir]
-        for spin, value in zip("abcd", PARAMS[61]):
-            args += ["--two-" + spin, str(value)]
-        _, times["compute_side_61"] = _seconds(lambda: subprocess.run(
-            args, env=env, check=True, stdout=subprocess.DEVNULL))
-    return times
+        times[name], peaks[name] = _process([sys.executable, "-c", code], env)
+    for name, options in COMPUTE.items():
+        with tempfile.TemporaryDirectory() as outdir:
+            args = [sys.executable, "-m", "spinscreen", "compute", "--output",
+                    "screen", "--outdir", outdir] + options
+            for spin, value in zip("abcd", PARAMS[61]):
+                args += ["--two-" + spin, str(value)]
+            times[name], _ = _process(args, env)
+    return {"startup_s": times,
+            "startup_peak_rss_mb": {"import_spinscreen":
+                                    peaks["import_spinscreen"]}}
 
 
 def _round(tree, sides):
@@ -120,7 +144,7 @@ def _round(tree, sides):
          "--sides", ",".join(map(str, sides))],
         env=env, check=True, capture_output=True, text=True)
     figures = json.loads(worker.stdout)
-    figures["startup_s"] = _startup(tree, env)
+    figures.update(_startup(tree, env))
     return figures
 
 
