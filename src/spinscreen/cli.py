@@ -135,8 +135,7 @@ def cmd_verify(args):
         return 2
     names = args.check or None
     results = verify.run_checks(names=names, params=params,
-                                n_random=args.random, seed=args.seed,
-                                golden_path=args.golden)
+                                n_random=args.random, seed=args.seed)
     if not results:
         print("no checks matched %r" % (names,), file=sys.stderr)
         return 2
@@ -191,8 +190,6 @@ def build_parser():
     p_verify.add_argument("--random", type=_sample_count, default=200,
                           help="sample count for randomized checks")
     p_verify.add_argument("--seed", type=int, default=1234)
-    p_verify.add_argument("--golden", default=None,
-                          help="alternative golden data file")
     p_verify.add_argument("--report", default=None,
                           help="write a JSON report to this path")
     p_verify.set_defaults(func=cmd_verify)

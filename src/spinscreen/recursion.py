@@ -235,22 +235,19 @@ def _inverse_iteration(setup, iy):
     return head
 
 
-@functools.lru_cache(maxsize=_SETUP_CACHE)
 def _twist_terms(params: ScreenParams):
-    """What the screen's twisted factorization reads, built once per
-    screen, as tuples of doubles: T's off-diagonal p_plus correctly
-    rounded, and its square; T's diagonal w as tridiag_coeffs rounds it,
-    and w_lo, what each w lacks of its exact value; pivmin = tiny *
-    max(1, max p_plus^2), the magnitude that replaces an exact zero pivot,
-    as in LAPACK dlarre; and tridiag_coeffs' lambda, a read-only array.
-    p_plus and w_lo come from _decimal_terms at
-    _TWIST_DIGITS.  tridiag_coeffs' p_plus is up to 1.8 ulp off: with it
-    the forbidden points of side 201 come within 1.1e-14 relative of the
-    oracle, against 6.6e-15.  w_lo makes w - lambda exact where the two
-    cancel: without it the two_j <= 8 screens come within 1.0e-15 of the
-    oracle, against 5.6e-16."""
+    """What the screen's twisted factorization reads, as tuples of
+    doubles: T's off-diagonal p_plus correctly rounded, and its square;
+    T's diagonal w as tridiag_coeffs rounds it, and w_lo, what each w
+    lacks of its exact value; pivmin = tiny * max(1, max p_plus^2), the
+    magnitude that replaces an exact zero pivot, as in LAPACK dlarre; and
+    tridiag_coeffs' lambda, an array.  p_plus and w_lo come from
+    _decimal_terms at _TWIST_DIGITS.  tridiag_coeffs' p_plus is up to 1.8
+    ulp off: with it the forbidden points of side 201 come within 1.1e-14
+    relative of the oracle, against 6.6e-15.  w_lo makes w - lambda exact
+    where the two cancel: without it the two_j <= 8 screens come within
+    1.0e-15 of the oracle, against 5.6e-16."""
     coeffs = tridiag_coeffs(params)
-    coeffs.lam.setflags(write=False)
     w = tuple(coeffs.w.tolist())
     with decimal.localcontext(decimal.Context(prec=_TWIST_DIGITS)):
         p_dec, w_dec, _ = _decimal_terms(params)
@@ -279,19 +276,18 @@ def _twisted_screen(params: ScreenParams, laps: Laps):
     z_(k-1): products of pivot ratios, so a small entry keeps its relative
     accuracy down to the smallest normal double, below which it is set to
     0 (a denormal operand slows BLAS down: the defect's Gram product by
-    1.7x at side 2001).  U's sign at r is the stretched sign times
-    (-1)^(n-1-r) times the sign of det(T[r+1:, r+1:] - lam) = D-_(r+1) ...
-    D-_(n-1), as in _anchor, counted during the upward sweep.  D- is swept
-    into the values themselves, and each of its entries is read once more,
-    to make the entry below the twist; so the ratios -p_k / D+_k are the
-    only other array of the screen's size.
+    1.7x at side 2001).  A column is U's row at y times a factor whose
+    sign is that of its x_max entry times U(x_max, y)'s stretched sign:
+    every pivot is finite, and IEEE products keep the entry's sign through
+    underflow to -0, so its sign bit, read before the flush to 0, signs
+    the column.  D- is swept into the values themselves, and each of its
+    entries is read once more, to make the entry below the twist; so the
+    ratios -p_k / D+_k are the only other array of the screen's size.
     """
     p, p_sq, w, w_lo, pivmin, lam = _twist_terms(params)
     laps.lap("coeffs")
     n = len(w)
     values = np.empty((n, n))
-    # odd[i]: whether D-_i ... D-_(n-1) hold an odd number of negatives
-    odd = np.zeros((n + 1, n), dtype=bool)
     d, q = np.full(n, np.inf), np.empty(n)
     # positional outs: the loops run n times on vectors of n
     for i in range(n - 1, -1, -1):
@@ -302,8 +298,6 @@ def _twisted_screen(params: ScreenParams, laps: Laps):
         np.subtract(d, q, d)
         if not d.all():
             d[d == 0] = -pivmin
-        np.less(d, 0.0, odd[i])
-        np.logical_xor(odd[i], odd[i + 1], odd[i])
     low = np.empty((n, n))
     d, q, gamma, least = np.empty(n), np.zeros(n), np.empty(n), np.full(n, np.inf)
     twist = np.zeros(n, dtype=np.intp)
@@ -322,10 +316,7 @@ def _twisted_screen(params: ScreenParams, laps: Laps):
         np.divide(-p[i], d, low[i])
         np.multiply(-p[i], low[i], q)
     laps.lap("factor")
-    columns = np.arange(n)
-    sign = (_stretched_sign(params)
-            * (1 - 2 * ((n - 1 - twist + odd[twist + 1, columns]) % 2)))
-    values[twist, columns] = 1.0
+    values[twist, np.arange(n)] = 1.0
     # each product is taken only where its row is on that side of the twist
     ratio = np.empty(n)
     for i in range(1, n):
@@ -335,6 +326,9 @@ def _twisted_screen(params: ScreenParams, laps: Laps):
     for i in range(n - 2, -1, -1):
         np.greater(twist, i, side)
         np.multiply(low[i], values[i + 1], values[i], where=side)
+    # the x_max entries' sign bits, before the flush turns -0 into 0
+    s = _stretched_sign(params)
+    sign = np.where(np.signbit(values[-1]), -s, s)
     values *= sign / np.sqrt(np.einsum("ij,ij->j", values, values))
     magnitude = np.empty((_PANEL, n))
     for i in range(0, n, _PANEL):

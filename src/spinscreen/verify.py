@@ -18,6 +18,8 @@ from .spins import ScreenParams
 
 # the screen verify and ninej-check run at when none is given
 DEFAULT_PARAMS = ScreenParams(60, 90, 120, 110)
+# the exact values check_golden holds the single sum to
+GOLDEN = resources.files("spinscreen").joinpath("data/golden_reference.json")
 # the largest max |threeterm - eigensolve| over a screen, mostly
 # eigensolve's own error, worst where a = b = c = d: 40x the 2.5e-12
 # measured at (2000,2000,2000,2000) (1.3e-12 at side 1001, 5.4e-12 at
@@ -240,13 +242,8 @@ def check_cross_identity(params, rng, n_random, screen):
                     "cross-recursion residual on exact values")]
 
 
-def check_golden(params, rng, n_random, screen, golden_path=None):
-    if golden_path is None:
-        ref = resources.files("spinscreen").joinpath("data/golden_reference.json")
-        payload = json.loads(ref.read_text())
-    else:
-        with open(golden_path) as fh:
-            payload = json.load(fh)
+def check_golden(params, rng, n_random, screen):
+    payload = json.loads(GOLDEN.read_text())
     p = ScreenParams(payload["two_a"], payload["two_b"],
                      payload["two_c"], payload["two_d"])
     bad = 0
@@ -273,8 +270,7 @@ CHECKS = {
 }
 
 
-def run_checks(names=None, params=DEFAULT_PARAMS, n_random=200, seed=1234,
-               golden_path=None):
+def run_checks(names=None, params=DEFAULT_PARAMS, n_random=200, seed=1234):
     """Run the selected named checks and return their results.
 
     Each check is called as check(params, rng, n_random, screen), where
@@ -290,9 +286,8 @@ def run_checks(names=None, params=DEFAULT_PARAMS, n_random=200, seed=1234,
     results = []
     for name in selected:
         rng = random.Random(seed)
-        extra = {"golden_path": golden_path} if name == "golden" else {}
         start = time.perf_counter()
-        found = CHECKS[name](params, rng, n_random, screen, **extra)
+        found = CHECKS[name](params, rng, n_random, screen)
         seconds = time.perf_counter() - start
         for result in found:
             result.seconds = seconds

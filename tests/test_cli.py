@@ -376,16 +376,15 @@ def test_verify_random_below_one_is_a_usage_error(count):
     assert "PASS" not in cp.stdout
 
 
-def test_verify_corrupted_golden(tmp_path):
-    from importlib import resources
-    payload = json.loads(resources.files("spinscreen")
-                         .joinpath("data/golden_reference.json").read_text())
+def test_verify_corrupted_golden(tmp_path, monkeypatch, capsys):
+    payload = json.loads(verify.GOLDEN.read_text())
     payload["points"][0]["u"] = "0.5"
     bad = tmp_path / "golden.json"
     bad.write_text(json.dumps(payload))
-    cp = run_cli("verify", *REF_ARGS, "--check", "golden", "--golden", str(bad))
-    assert cp.returncode == 1
-    assert "golden" in cp.stdout and "FAIL" in cp.stdout
+    monkeypatch.setattr(verify, "GOLDEN", bad)
+    assert cli.main(["verify", *REF_ARGS, "--check", "golden"]) == 1
+    out = capsys.readouterr().out
+    assert "golden" in out and "FAIL" in out
 
 
 def test_random_screen_params_skips_only_empty_screens(monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,6 +40,24 @@ def test_lambda_quartic_identity():
         lam = ss.lambda_quartic(a, b, g)
         f = ss.heron_area(a, b, g)
         assert lam == pytest.approx(-16 * f * f, rel=1e-12, abs=1e-9)
+
+
+@pytest.mark.parametrize("quad", [(60, 90, 120, 110), (600, 900, 1200, 1100),
+                                  (2000, 3000, 4000, 3666)])
+def test_lambda_quartic_is_exact_on_the_faces_at_edge_x(quad):
+    # the expanded quartic loses digits on thin float triangles, but at
+    # lattice edges j + 1/2 every power it takes is a double at these
+    # sides (side 6001 is 4.6e-13 off): so _ridge_terms' product of the
+    # two faces' quartics loses nothing here
+    p = ss.screen_ranges(*quad)
+    A, B, C, D = (edge_length(t) for t in quad)
+    X = edge_length(p.x_lattice().astype(float))
+    for e1, e2 in ((A, B), (C, D)):
+        a2, b2 = Fraction(e1) ** 2, Fraction(e2) ** 2
+        for x, lam in zip(X.tolist(), ss.lambda_quartic(e1, e2, X).tolist()):
+            g2 = Fraction(x) ** 2
+            assert Fraction(lam) == (a2 - b2) ** 2 - 2 * g2 * (a2 + b2) \
+                + g2 * g2, (e1, e2, x)
 
 
 def test_volume_regular_tetrahedron():

@@ -484,18 +484,13 @@ def test_rows_match_banded_solves_after_the_setup_cache_churns():
         assert np.array_equal(row, first[:, iy]), two_y
 
 
-def _clear_caches():
-    recursion._row_setup.cache_clear()
-    recursion._twist_terms.cache_clear()
-
-
 def test_row_then_screen_equals_screen_then_row():
     p = ss.screen_ranges(96, 43, 107, 50)
     two_y = int(p.y_lattice()[p.side // 2])
-    _clear_caches()
+    recursion._row_setup.cache_clear()
     row_first = ss.row_by_threeterm(two_y, p)
     screen_second = ss.screen_by_threeterm(p).values
-    _clear_caches()
+    recursion._row_setup.cache_clear()
     screen_first = ss.screen_by_threeterm(p).values
     row_second = ss.row_by_threeterm(two_y, p)
     assert np.array_equal(row_first, row_second)
@@ -508,9 +503,9 @@ def test_row_then_screen_equals_screen_then_row():
 
 
 def test_threeterm_screen_is_its_rows_one_at_a_time():
-    # two algorithms: the screen by the twisted sweep and its sign count,
-    # the rows by inverse iteration and one LU each for the sign; they
-    # agree to rounding on every screen
+    # two algorithms: the screen by the twisted sweep, signed by its own
+    # x_max entries, the rows by inverse iteration and one LU each for the
+    # sign; they agree to rounding on every screen
     screens = [p for p in _anchor_screens() if p.side != 61]
     assert screens[-1].side == 601
     for p in screens:
@@ -537,11 +532,6 @@ def test_setup_cache_is_bounded():
     _rows_of_other_screens(20)
     info = recursion._row_setup.cache_info()
     assert info.maxsize == recursion._SETUP_CACHE == 8
-    assert info.currsize <= info.maxsize
-    for k in range(1, recursion._SETUP_CACHE + 4):
-        ss.screen_by_threeterm(ss.screen_ranges(2 * k, 2 * k, 2 * k, 2 * k))
-    info = recursion._twist_terms.cache_info()
-    assert info.maxsize == recursion._SETUP_CACHE
     assert info.currsize <= info.maxsize
 
 
@@ -1166,6 +1156,29 @@ def test_twisted_screen_holds_no_denormal(gate_screens):
     values = np.abs(gate_screens("threeterm", (2000, 3000, 4000, 3666)).values)
     assert np.count_nonzero(values == 0) > 0
     assert np.count_nonzero((values > 0) & (values < np.finfo(float).tiny)) == 0
+
+
+def _signs_at_largest(values):
+    """Each column's sign at its largest entry, and that entry's index."""
+    istar = np.argmax(np.abs(values), axis=0)
+    return np.sign(values[istar, np.arange(values.shape[1])]), istar
+
+
+def test_twisted_screen_signs_every_column_by_its_x_max_entry(gate_screens):
+    # the x_max entry keeps its sign through underflow, so it signs the
+    # column also where the screen holds it as 0
+    for p in _anchor_screens():
+        coeffs = tridiag_coeffs(p)
+        signs, istar = _signs_at_largest(recursion._twisted_screen(p, Laps()))
+        for iy in range(p.side):
+            assert signs[iy] == _backward_reference_sign(
+                coeffs, coeffs.lam[iy], istar[iy]), (p, iy)
+    for quad in ((2000, 2000, 2000, 2000), (2000, 3000, 4000, 3666)):
+        twisted = gate_screens("threeterm", quad).values
+        assert np.count_nonzero(twisted[-1] == 0) > 0, quad
+        signs, istar = _signs_at_largest(twisted)
+        eig = gate_screens("eigensolve", quad).values[istar, np.arange(len(istar))]
+        assert np.array_equal(signs, np.sign(eig)), quad
 
 
 # a column of U (the row U(., y) of one y) with its sign flipped satisfies
