@@ -4,7 +4,7 @@ geometry, semiclassical estimates, and the 9j five-point recurrence."""
 from .errors import (CausticProximityWarning, ConvergenceFailure,
                      DegenerateFace, EmptyScreen, NegativeRadicand,
                      NoClassicalWindow, OutOfRange, OutsideDomain, ParityError,
-                     PatternError, SpinScreenError, ZeroPivot)
+                     PatternError, SpinScreenError)
 from .exact import (SqrtRational, screen_oracle, sixj_exact, sixj_unit,
                     sixj_zero_entry, u_exact)
 from .geometry import (CausticData, GeometricCoeffs, PotentialCurves,

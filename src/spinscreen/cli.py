@@ -71,9 +71,9 @@ def cmd_compute(args):
     if needs_screen:
         screen = recursion.SCREEN_METHODS[args.method](params)
         require_accepted(screen)
-    outdir = args.outdir or os.environ.get("SPINSCREEN_OUTDIR", ".")
-    os.makedirs(outdir, exist_ok=True)
-    base = os.path.join(outdir, "spinscreen_a%d_b%d_c%d_d%d" % params.as_tuple())
+    os.makedirs(args.outdir, exist_ok=True)
+    base = os.path.join(args.outdir,
+                        "spinscreen_a%d_b%d_c%d_d%d" % params.as_tuple())
     written = []
     if "screen" in outputs:
         path = "%s_%s_screen.%s" % (base, args.method, args.format)
@@ -179,8 +179,8 @@ def build_parser():
     p_compute.add_argument("--output", default="screen",
                            help="comma list of: %s" % ", ".join(_OUTPUTS))
     p_compute.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_compute.add_argument("--outdir", default=None,
-                           help="output directory (default $SPINSCREEN_OUTDIR or .)")
+    p_compute.add_argument("--outdir", default=".",
+                           help="output directory (default .)")
     p_compute.set_defaults(func=cmd_compute)
 
     p_verify = sub.add_parser("verify", help="run named invariant checks")

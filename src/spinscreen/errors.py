@@ -26,10 +26,6 @@ class ConvergenceFailure(SpinScreenError):
     """An eigensolve, a row solve or a recursion gave no usable result."""
 
 
-class ZeroPivot(SpinScreenError):
-    """The recursion coefficient that should be solved for vanishes."""
-
-
 class NegativeRadicand(SpinScreenError):
     """Triangle inequality violated: area radicand is negative."""
 

@@ -241,7 +241,8 @@ def sin_theta3(t: Tetrahedron):
 def cos_theta3_grid(params: ScreenParams):
     """Vectorized cos(theta3) over the whole lattice, shape (nx, ny).
 
-    NaN where a face degenerates; magnitudes above 1 mark forbidden points.
+    Finite everywhere, since no face of a lattice point degenerates;
+    magnitudes above 1 mark forbidden points.
     """
     return _cos_theta3(_whole_lattice(params))
 
@@ -331,31 +332,28 @@ def potentials(params: ScreenParams):
 def f_transform(u_row, params: ScreenParams, two_y):
     """Wavefunction transform f(X) = sqrt(F(X,A,B) F(X,C,D))/X * U(x,y).
 
-    The area form stays finite on caustics (the volume form diverges there).
-    Points outside the geometric domain become NaN.  A two_y off the y
-    lattice raises OutOfRange.
+    The area form stays finite on caustics (the volume form diverges there),
+    and both faces at edge X have positive area at every lattice point.  A
+    two_y off the y lattice raises OutOfRange.
     """
     params.row_index(two_y)
     A, B, C, D = (edge_length(t) for t in params.as_tuple())
     X = edge_length(params.x_lattice())
     f1sq, f2sq = _faces_sq_x(A * A, B * B, C * C, D * D, X * X)
-    good = (f1sq > 0) & (f2sq > 0)
-    out = np.full(len(X), np.nan)
-    out[good] = (f1sq[good] * f2sq[good]) ** 0.25 / X[good] \
-        * np.asarray(u_row)[good]
-    return out
+    return (f1sq * f2sq) ** 0.25 / X * np.asarray(u_row)
 
 
 def f_residual(f_values, params: ScreenParams, two_y):
     """Residual of the finite-difference equation [D2 + 2 - 2cos(theta3)] f.
 
-    NaN at the two ends and wherever f or cos(theta3) is not finite.
+    cos(theta3) is finite at every lattice point; the residual is NaN at
+    the two ends and wherever a value of f it reads is not finite.
     """
     params.row_index(two_y)
     c3 = _cos_theta3(Tetrahedron.from_two_j(params, params.x_lattice(), two_y))
     f = np.asarray(f_values, dtype=float)
     finite = np.isfinite(f)
-    good = finite[:-2] & finite[1:-1] & finite[2:] & np.isfinite(c3[1:-1])
+    good = finite[:-2] & finite[1:-1] & finite[2:]
     res = np.full(len(f), np.nan)
     res[1:-1][good] = (f[2:] - 2 * c3[1:-1] * f[1:-1] + f[:-2])[good]
     return res

@@ -14,7 +14,7 @@ import numpy as np
 import scipy
 
 from . import exact
-from .errors import ConvergenceFailure, ZeroPivot
+from .errors import ConvergenceFailure
 # residual_threeterm is not called here: recursion.residual_threeterm is
 # the name perfbench's tracer wraps, beside recursion.tridiag_coeffs
 from .screen import (_PANEL, Laps, Screen, TridiagCoeffs, _recursion_terms,
@@ -456,7 +456,8 @@ def _decimal_digits(params: ScreenParams):
     The eigenvalues come from NumPy's np.linalg.eigvalsh on the dense
     matrix, 0.2, 2.1 and 28 ms at those sides against 0.14, 0.9 and 6.9
     ms by scipy.linalg.eigvalsh_tridiagonal, whose import (about 0.2 s)
-    recur2d then skips.  A zero pivot raises ZeroPivot.
+    recur2d then skips.  The pivots cyp_j are kappa times p_plus of the
+    transposed screen at y_min < y < y_max, positive inside every screen.
 
     Measured against the digits the sweep really loses (D + log10 of its
     largest error against the oracle, at D = ceil(G) + 10 digits), ceil(G)
@@ -472,10 +473,6 @@ def _decimal_digits(params: ScreenParams):
     if n < 3:
         return 40
     cx, cy = _cross_coeffs(params)
-    zero = np.flatnonzero(cy[2, 1:-1] == 0)
-    if zero.size:
-        raise ZeroPivot("cross recursion pivot vanishes at two_y=%d"
-                        % (params.two_y_min + 2 * (int(zero[0]) + 1)))
     # eigvalsh reads the lower triangle alone
     nu = np.linalg.eigvalsh(np.diag(cx[1]) + np.diag(cx[2, :-1], -1))
     prev = np.stack((np.ones_like(nu), np.zeros_like(nu)))
@@ -508,10 +505,10 @@ def screen_by_2d(params: ScreenParams):
     the propagation runs in Decimal arithmetic with the guard digits of
     _decimal_digits, read from the screen's own mode growth.  The seed rows
     are the exact oracle values rounded to the working precision, and the
-    coefficients are _cross_rows_decimal's.  A vanishing pivot (p_plus of
-    the row being solved for) raises ZeroPivot in _decimal_digits, a null
-    row ConvergenceFailure.  No row is renormalized: a norm error reaches
-    the defect bound of screen.require_accepted.
+    coefficients are _cross_rows_decimal's.  Each row divides by its
+    pivot, p_plus of the transposed screen, positive inside the screen; a
+    null row raises ConvergenceFailure.  No row is renormalized: a norm
+    error reaches the defect bound of screen.require_accepted.
     """
     laps = Laps()
     digits = _decimal_digits(params)

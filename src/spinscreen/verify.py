@@ -109,16 +109,13 @@ def check_exact_symmetries(params, rng, n_random, screen):
         p = random_screen_params(rng, two_j_max=24)
         tx, ty = random_screen_point(rng, p)
         ta, tb, tc, td = p.as_tuple()
-        ra, rb, rc, rd = spins.regge_conjugate(ta, tb, tc, td)
         base = exact.sixj_exact(ta, tb, tx, tc, td, ty)
-        images = [
-            exact.sixj_exact(tb, ta, tx, td, tc, ty),
-            exact.sixj_exact(td, tc, tx, tb, ta, ty),
-            exact.sixj_exact(tc, td, tx, ta, tb, ty),
-            exact.sixj_exact(ra, rb, tx, rc, rd, ty),
-            exact.sixj_exact(ta, td, ty, tc, tb, tx),
-        ]
-        if any(img != base for img in images):
+        # the orbit's first image is the identity; a swapped one exchanges
+        # x and y
+        images = [(q, (ty, tx) if swapped else (tx, ty)) for q, _, _, swapped
+                  in spins.symmetry_orbit(ta, tb, tc, td)[1:]]
+        if any(exact.sixj_exact(a, b, x, c, d, y) != base
+               for (a, b, c, d), (x, y) in images):
             bad += 1
     return [_result("exact-symmetries", bad, 0,
                     "%d random argument sets" % n_random)]

@@ -12,12 +12,11 @@ import spinscreen as ss
 from spinscreen import cli, exact, exports, geometry, verify
 
 
-def run_cli(*args, env=None):
+def run_cli(*args):
     """The finished command; a command still running after 300 s fails the
     test with subprocess.TimeoutExpired instead of stalling the suite."""
     cmd = [sys.executable, "-m", "spinscreen", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env,
-                          timeout=300)
+    return subprocess.run(cmd, capture_output=True, text=True, timeout=300)
 
 
 REF_ARGS = ("--two-a", "60", "--two-b", "90", "--two-c", "120", "--two-d", "110")
@@ -227,14 +226,6 @@ def test_exact_seeded_screen_exports_are_pinned(tmp_path, capsys):
     assert digests == EXACT_SEEDED_SCREENS
 
 
-def test_env_outdir(tmp_path):
-    import os
-    env = dict(os.environ, SPINSCREEN_OUTDIR=str(tmp_path / "envdir"))
-    cp = run_cli("compute", *SMALL, env=env)
-    assert cp.returncode == 0, cp.stderr
-    assert list((tmp_path / "envdir").glob("*_screen.csv"))
-
-
 def test_screen_roundtrip_csv(tmp_path):
     p = ss.screen_ranges(6, 8, 10, 8)
     screen = ss.screen_by_eigensolve(p)
@@ -360,6 +351,27 @@ def test_verify_unit_sixj_dispatches_every_family(monkeypatch):
     (result,) = verify.run_checks(names=["unit-sixj"])
     assert result.passed
     assert all(calls.values()), calls
+
+
+def test_verify_exact_symmetries_walks_the_whole_orbit(monkeypatch):
+    # sixj_exact is wrong only on the Regge image with b and d (and x and y)
+    # exchanged, which no single classical exchange, Regge or x <-> y
+    # reaches from the drawn arguments
+    params = ss.ScreenParams(4, 10, 16, 12)
+    ra, rb, rc, rd = ss.regge_conjugate(*params.as_tuple())
+    sixj_exact = exact.sixj_exact
+
+    def wrong_on_one_image(a, b, x, c, d, y):
+        if (a, b, c, d) == (ra, rd, rc, rb):
+            return exact.SqrtRational(2)  # no 6j symbol exceeds 1
+        return sixj_exact(a, b, x, c, d, y)
+
+    monkeypatch.setattr(verify, "random_screen_params",
+                        lambda rng, two_j_max: params)
+    monkeypatch.setattr(exact, "sixj_exact", wrong_on_one_image)
+    (result,) = verify.run_checks(names=["exact-symmetries"], n_random=50)
+    assert not result.passed
+    assert result.value == 50
 
 
 def test_verify_unknown_check():

@@ -342,7 +342,7 @@ def _f_residual_by_loop(f_values, params, two_y):
     res = np.full(len(f_values), np.nan)
     for k in range(1, len(f_values) - 1):
         trio = f_values[k - 1:k + 2]
-        if np.isfinite(trio).all() and np.isfinite(c3[k]):
+        if np.isfinite(trio).all():
             res[k] = trio[2] - 2 * c3[k] * trio[1] + trio[0]
     return res
 
@@ -384,7 +384,7 @@ def test_f_transform_finite_at_caustic(ref_params, ref_eig):
     # area form stays finite where sin(theta3) -> 0
     ty = int(ref_params.y_lattice()[30])
     f = ss.f_transform(ref_eig.values[:, 30], ref_params, ty)
-    assert np.isfinite(f[np.isfinite(f)]).all()
+    assert np.isfinite(f).all()
 
 
 def test_area_sq_from_squares():

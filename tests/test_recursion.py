@@ -724,42 +724,48 @@ def test_screen_2d_gate_sees_a_mis_scaled_row(monkeypatch, ref_params):
         require_accepted(screen)
 
 
-def test_float_and_decimal_pivots_vanish_on_the_same_rows():
-    # the float pivot test of _decimal_digits is the only one: it must see
-    # every zero of the Decimal pivots the sweep divides by (on these
-    # screens neither has one: p_plus(y) vanishes only at y_max)
+# every two_j <= 8 screen, then thin, wide and underflowing screens up to
+# side 6001
+POSITIVITY_QUADS = [
+    (1, 8, 8, 1), (60, 90, 120, 110), (200, 300, 400, 366),
+    (200, 200, 200, 200), (600, 900, 1200, 1100), (2000, 3000, 4000, 3666),
+    (2000, 2000, 2000, 2000), (6000, 9000, 12000, 10998)]
+
+
+def test_interior_couplings_and_lattice_faces_are_positive():
+    # |a-b| <= x <= a+b-1 below x_max makes every factor of p_plus^2 at
+    # least 1, in a screen and in its transpose (a, d, c, b); and the
+    # shifted edges keep |A-B| <= x < X < A+B, so every face is a strict
+    # triangle.  The sign rules, recur2d's pivots and the lattice
+    # functions rest on these with no guard.  cos_theta3_grid is
+    # checked up to side 2001: at side 6001 its grid takes about 0.6 GB,
+    # and its finiteness there follows from the faces at edge X
     quads = list(itertools.product(range(9), repeat=4))
-    quads += [(20, 30, 40, 36), (40, 60, 80, 74), (60, 90, 120, 110),
-              (120, 180, 240, 220), (200, 300, 400, 366)]
     checked = 0
-    for quad in quads:
+    for quad in quads + POSITIVITY_QUADS:
         try:
             p = ss.screen_ranges(*quad)
         except ss.EmptyScreen:
             continue
-        if p.side < 3:
-            continue
-        _, cy = recursion._cross_coeffs(p)
-        with decimal.localcontext(decimal.Context(prec=40)):
-            cyp = recursion._cross_rows_decimal(p)[1][2]
-        assert [v == 0 for v in cyp[1:-1]] == list(cy[2, 1:-1] == 0), quad
+        ta, tb, tc, td = p.as_tuple()
+        for q in (p, ss.ScreenParams(ta, td, tc, tb)):
+            assert (tridiag_coeffs(q).p_plus[:-1] > 0).all(), q.as_tuple()
+        if p.side >= 2:
+            _, cy = recursion._cross_coeffs(p)
+            assert (cy[2, 1:-1] > 0).all(), quad
+            with decimal.localcontext(decimal.Context(prec=40)):
+                cyp = recursion._cross_rows_decimal(p)[1][2]
+            assert all(v > 0 for v in cyp[1:-1]), quad
+        t = geometry._whole_lattice(p)
+        A2, B2, C2, D2 = t.A * t.A, t.B * t.B, t.C * t.C, t.D * t.D
+        X2, Y2 = t.X * t.X, t.Y * t.Y
+        faces = (*geometry._faces_sq_x(A2, B2, C2, D2, X2),
+                 geometry._area_sq(A2, D2, Y2), geometry._area_sq(B2, C2, Y2))
+        assert all((face > 0).all() for face in faces), quad
+        if p.side <= 2001:
+            assert np.isfinite(ss.cos_theta3_grid(p)).all(), quad
         checked += 1
-    assert checked == 1022
-
-
-def test_screen_2d_zero_float_pivot_raises(monkeypatch):
-    # the working precision reads the float coefficients first: a zero
-    # pivot there must raise, not give infinite digits
-    float_coeffs = recursion._cross_coeffs
-
-    def zero_pivot(params):
-        cx, cy = float_coeffs(params)
-        cy[2, 1] = 0.0
-        return cx, cy
-
-    monkeypatch.setattr(recursion, "_cross_coeffs", zero_pivot)
-    with pytest.raises(ss.ZeroPivot, match="two_y=4"):
-        ss.screen_by_2d(ss.screen_ranges(8, 10, 12, 10))
+    assert checked == 2761 + len(POSITIVITY_QUADS)
 
 
 @pytest.fixture(scope="module")
@@ -802,8 +808,6 @@ def _tridiagonal_decimal_digits(params):
     if params.side < 3:
         return 40
     cx, cy = recursion._cross_coeffs(params)
-    if np.any(cy[2, 1:-1] == 0):
-        raise ss.ZeroPivot("cross recursion pivot vanishes")
     nu = scipy.linalg.eigvalsh_tridiagonal(cx[1], cx[2, :-1])
     prev = np.stack((np.ones_like(nu), np.zeros_like(nu)))
     cur = prev[::-1].copy()

@@ -12,14 +12,16 @@ SCRIPT = ROOT / "tools" / "stages.py"
 
 def test_stages_writes_every_figure_at_side_61(tmp_path):
     out = tmp_path / "bench.json"
-    # this tree timed against itself as the parent
+    # this tree timed against itself as the parent, in two rounds so that
+    # a best and a median can differ
     subprocess.run([sys.executable, str(SCRIPT), "--sides", "61", "--rounds",
-                    "1", "--parent", str(ROOT), "--out", str(out)],
+                    "2", "--parent", str(ROOT), "--out", str(out)],
                    check=True, timeout=120)
     bench = json.loads(out.read_text())
     assert set(bench) == {"machine", "settings", "trees"}
     assert bench["settings"]["OPENBLAS_NUM_THREADS"] == "1"
     assert bench["settings"]["sides"] == [61]
+    assert bench["settings"]["rounds"] == 2
     assert set(bench["trees"]) == {"this", "parent"}
     for tree in bench["trees"].values():
         _check_tree(tree)
@@ -27,7 +29,10 @@ def test_stages_writes_every_figure_at_side_61(tmp_path):
 
 def _check_tree(tree):
     assert set(tree) == {"revision", "dirty", "versions", "sides", "startup_s",
-                         "startup_peak_rss_mb"}
+                         "startup_peak_rss_mb", "median"}
+    median = tree["median"]
+    assert set(median) == set(tree) - {"revision", "dirty", "median"}
+    _check_best_below_median({k: tree[k] for k in median}, median)
     assert set(tree["versions"]) == {"python", "numpy", "scipy", "spinscreen"}
     assert set(tree["startup_s"]) == {"python", "import_numpy",
                                       "import_scipy_linalg",
@@ -50,3 +55,15 @@ def _check_tree(tree):
         assert figures["total_s"] > 0
     for key in ("threeterm_row_s", "u_exact_s", "pr_compare_s"):
         assert 0 < side[key] < 1, key
+
+
+def _check_best_below_median(best, median):
+    """Every best figure is at most its median, in the same layout."""
+    if isinstance(best, dict):
+        assert set(best) == set(median)
+        for key in best:
+            _check_best_below_median(best[key], median[key])
+    elif isinstance(best, float):
+        assert best <= median
+    else:
+        assert best == median

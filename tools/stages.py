@@ -5,9 +5,10 @@ write the figures to a JSON file (BENCH_<n>.json in the repository root).
         [--parent PATH] [--sides 61,201,601,2001] [--rounds 3]
 
 Each round runs one fresh worker process per tree, with every BLAS pool
-pinned to one thread, and reports the best (least) figure over the
-rounds.  A worker imports the tree's own `src` and measures, at each
-side:
+pinned to one thread.  Each tree records the best (least) figure over the
+rounds, and under `median` the median of each figure in the same layout,
+which shows how far the rounds spread.  A worker imports the tree's own
+`src` and measures, at each side:
 
 - every screen method that reaches it (the oracle up to side 201, recur2d
   up to side 601), each built once, in the order of SCREEN_METHODS: its
@@ -36,6 +37,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -148,13 +150,13 @@ def _round(tree, sides):
     return figures
 
 
-def _best(rounds):
-    """The least of each number over rounds of the same nested layout."""
+def _reduce(rounds, pick):
+    """pick of each number over rounds of the same nested layout."""
     first = rounds[0]
     if isinstance(first, dict):
-        return {key: _best([r[key] for r in rounds]) for key in first}
+        return {key: _reduce([r[key] for r in rounds], pick) for key in first}
     if isinstance(first, float):
-        return min(rounds)
+        return pick(rounds)
     return first
 
 
@@ -184,8 +186,11 @@ def run(trees, sides, rounds):
                     "processor": platform.processor(),
                     "cpu_count": os.cpu_count()},
         "settings": {"sides": sides, "rounds": rounds,
-                     "figure": "best of the rounds", **ONE_THREAD},
-        "trees": {name: {**_revision(trees[name]), **_best(results[name])}
+                     "figure": "best of the rounds; median under median",
+                     **ONE_THREAD},
+        "trees": {name: {**_revision(trees[name]),
+                         **_reduce(results[name], min),
+                         "median": _reduce(results[name], statistics.median)}
                   for name in trees}}
 
 
